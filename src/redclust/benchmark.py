@@ -163,9 +163,10 @@ def apply_reducer(name, matrix, config, seed):
         )
         return som_encode(grid, matrix)
     if name == "fastica":
+        # centred rows span at most n - 1 directions, so wider tables keep n - 1
         model = fastica_fit(
             matrix,
-            n_components=matrix.shape[1],
+            n_components=min(matrix.shape[1], matrix.shape[0] - 1),
             nonlinearity=config.ica_nonlinearity,
             tol=config.ica_tol,
             max_iter=config.ica_max_iter,

@@ -306,6 +306,8 @@ def cmd_bench(args):
         if args.k < 1:
             raise UsageError(f"--k must be >= 1, got {args.k}")
         config.svd_k = args.k
+    if args.reducer is not None:
+        config.reducers = (args.reducer,)
     config.datasets = _dataset_pairs(args)
     _validate_usage(config)
     out_dir = _out_dir(args)

@@ -71,21 +71,22 @@ def _sign_fix_columns(*mats):
 
 
 def _complete_orthonormal(u, start):
-    """Fill columns of ``u`` from ``start`` on with unit vectors orthogonal to the rest."""
+    """Fill columns of ``u`` from ``start`` on with unit vectors orthogonal to the rest.
+
+    Each new column starts from the standard basis vector e_j with the
+    largest residual after projecting out the columns so far. The squared
+    residuals 1 - ||u[j, :col]||^2 sum to m - col, so the largest is at least
+    (m - col) / m and the projection, applied twice, keeps full accuracy.
+    """
     m = u.shape[0]
-    col = start
-    for cand in range(m):
-        if col >= u.shape[1]:
-            break
+    for col in range(start, u.shape[1]):
+        basis = u[:, :col]
+        j = int(np.argmin(np.sum(basis * basis, axis=1)))
         e = np.zeros(m)
-        e[cand] = 1.0
-        e -= u[:, :col] @ (u[:, :col].T @ e)
-        norm = np.sqrt(e @ e)
-        if norm > 0.5:
-            u[:, col] = e / norm
-            col += 1
-    if col < u.shape[1]:
-        raise ConvergenceError("could not complete an orthonormal basis for zero singular values")
+        e[j] = 1.0
+        for _ in range(2):
+            e -= basis @ (basis.T @ e)
+        u[:, col] = e / np.sqrt(e @ e)
 
 
 def _one_sided_jacobi(a):

@@ -6,6 +6,15 @@ squared grid distance from the BMU. Learning rate and radius decay
 exponentially from their start values to fixed floors over the epochs.
 Encoding a row yields the (col, row) grid coordinates of its BMU, a
 2-attribute discretized representation.
+
+The squared grid distances between every pair of nodes are tabled once per
+fit, and the learning rate times the neighborhood weight once per epoch.
+A sample then costs a few array operations in preallocated buffers: the
+differences to every prototype, their squared norms and the argmin,
+scaling the differences by the BMU's row of the epoch table, and adding
+them to the codebook. That is the same arithmetic in the same order as
+evaluating the rule per sample, so the codebook is bit-identical to it.
+Each table holds nodes x nodes floats.
 """
 
 from dataclasses import dataclass, field
@@ -92,19 +101,24 @@ def som_fit(x, width, height, epochs=100, lr0=0.5, radius0=None, seed=0):
     coords = np.column_stack(
         [np.arange(width * height) % width, np.arange(width * height) // width]
     ).astype(float)
+    gd = coords[:, None, :] - coords[None, :, :]
+    grid_sq = np.sum(gd * gd, axis=2)  # [b, j]: squared grid distance of node j from node b
 
+    diff = np.empty_like(codebook)
+    diff_sq = np.empty_like(codebook)
+    dist_sq = np.empty(width * height)
     qe_log = [quantization_error(codebook, x)]
     for epoch in range(epochs):
         lr = _decayed(lr0, LR_FLOOR, epoch, epochs)
         radius = max(_decayed(radius0, RADIUS_FLOOR, epoch, epochs), RADIUS_FLOOR)
         denom = 2.0 * radius * radius
+        step = (lr * np.exp(-grid_sq / denom))[:, :, None]  # [b]: lr * influence of BMU b
         for i in rng.permutation(n):
-            row = x[i]
-            diff = row - codebook
-            bmu = int(np.argmin(np.sum(diff * diff, axis=1)))
-            gd = coords - coords[bmu]
-            influence = np.exp(-np.sum(gd * gd, axis=1) / denom)
-            codebook += lr * influence[:, None] * diff
+            np.subtract(x[i], codebook, out=diff)
+            np.multiply(diff, diff, out=diff_sq)
+            diff_sq.sum(axis=1, out=dist_sq)
+            diff *= step[dist_sq.argmin()]
+            codebook += diff
         qe_log.append(quantization_error(codebook, x))
 
     return SomGrid(width=int(width), height=int(height), codebook=codebook, qe_log=qe_log)

@@ -94,6 +94,22 @@ class TestRunBenchmark:
             assert not report.cell("flat", reducer).failed
         assert any("fastica" in w for w in report.warnings)
 
+    def test_fastica_on_wide_table(self, tmp_path):
+        # 40 centred rows span 39 directions, whatever the column count
+        rng = np.random.default_rng(40)
+        names = [f"x{j}" for j in range(60)]
+        rows = [",".join(names)] + [
+            ",".join(f"{v:.6f}" for v in row) for row in rng.normal(size=(40, 60))
+        ]
+        data = tmp_path / "wide.csv"
+        data.write_text("\n".join(rows) + "\n")
+        schema = tmp_path / "wide.schema.json"
+        schema.write_text(json.dumps({"name": "wide", "columns": [{"name": n} for n in names]}))
+        report = run_benchmark(fast_config([(str(data), str(schema))], reducers=("fastica",)))
+        cell = report.cell("wide", "fastica")
+        assert not cell.failed, cell.error
+        assert cell.attribute_count == 39
+
     def test_validation_errors(self, tiny_pair):
         with pytest.raises(InvalidConfigError):
             run_benchmark(fast_config([tiny_pair], eps=0.0))

@@ -173,6 +173,18 @@ class TestBench:
         assert (out / "pca_threshold_sweep.tsv").is_file()
         assert "normalized: 5 cells" in stdout
 
+    def test_bench_reducer_flag_restricts_grid(self, capsys, tiny_pair, tmp_path):
+        out = tmp_path / "bench"
+        code, stdout, _ = run(
+            ["bench", "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--reducer", "pca", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads((out / "normalized" / "report.json").read_text())
+        assert [c["reducer"] for c in report["cells"]] == ["pca"]
+        assert "normalized: 1 cells" in stdout
+
     def test_mismatched_dataset_schema_counts(self, capsys, tiny_pair, tmp_path):
         code, _, err = run(
             ["bench", "--dataset", tiny_pair[0], "--dataset", tiny_pair[0],

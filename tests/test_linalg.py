@@ -78,6 +78,18 @@ class TestSvd:
         with pytest.raises(InvalidInputError):
             svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("n", [12, 60])
+    def test_centred_square_completes_basis(self, n):
+        # the null direction is the all-ones vector, far from every e_j
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, n))
+        x -= x.mean(axis=0)
+        f = svd(x)
+        assert f.s[-1] == 0.0
+        assert frobenius(x - f.reconstruct()) <= 1e-8 * max(1.0, frobenius(x))
+        assert np.max(np.abs(f.u.T @ f.u - np.eye(n))) <= 1e-10
+        assert np.max(np.abs(f.v.T @ f.v - np.eye(n))) <= 1e-10
+
     def test_matches_numpy_singular_values(self):
         rng = np.random.default_rng(100)
         for _ in range(10):

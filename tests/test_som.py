@@ -3,7 +3,12 @@ import pytest
 
 from redclust.errors import InvalidConfigError, InvalidInputError
 from redclust.reducers import som_encode, som_fit
-from redclust.reducers.som import quantization_error
+from redclust.reducers.som import (
+    LR_FLOOR,
+    RADIUS_FLOOR,
+    _decayed,
+    quantization_error,
+)
 
 
 def two_clouds(rng, n_per=30, sep=10.0):
@@ -12,7 +17,46 @@ def two_clouds(rng, n_per=30, sep=10.0):
     return np.vstack([a, b]), np.zeros(2), np.array([sep, 0.0])
 
 
+def reference_som_fit(x, width, height, epochs, lr0=0.5, seed=0):
+    """The sequential rule evaluated per sample; som_fit must match it bit for bit."""
+    radius0 = max(width, height) / 2.0
+    rng = np.random.default_rng(seed)
+    n, dim = x.shape
+    lo = x.min(axis=0)
+    hi = x.max(axis=0)
+    flat = hi - lo == 0.0
+    lo = np.where(flat, lo - 0.5, lo)
+    hi = np.where(flat, hi + 0.5, hi)
+    codebook = rng.uniform(size=(width * height, dim)) * (hi - lo) + lo
+    coords = np.column_stack(
+        [np.arange(width * height) % width, np.arange(width * height) // width]
+    ).astype(float)
+    qe_log = [quantization_error(codebook, x)]
+    for epoch in range(epochs):
+        lr = _decayed(lr0, LR_FLOOR, epoch, epochs)
+        radius = max(_decayed(radius0, RADIUS_FLOOR, epoch, epochs), RADIUS_FLOOR)
+        denom = 2.0 * radius * radius
+        for i in rng.permutation(n):
+            diff = x[i] - codebook
+            bmu = int(np.argmin(np.sum(diff * diff, axis=1)))
+            gd = coords - coords[bmu]
+            influence = np.exp(-np.sum(gd * gd, axis=1) / denom)
+            codebook += lr * influence[:, None] * diff
+        qe_log.append(quantization_error(codebook, x))
+    return codebook, qe_log
+
+
 class TestSomFit:
+    @pytest.mark.parametrize("seed", [3, 29])
+    def test_bit_identical_to_per_sample_rule(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(80, 5))
+        x[:, 2] = 1.5  # a constant column
+        grid = som_fit(x, width=5, height=4, epochs=12, seed=seed)
+        codebook, qe_log = reference_som_fit(x, 5, 4, 12, seed=seed)
+        assert np.array_equal(grid.codebook, codebook)
+        assert np.array_equal(grid.qe_log, qe_log)
+
     def test_single_point_converges(self):
         x = np.array([[2.0, -1.0, 0.5]])
         grid = som_fit(x, width=3, height=2, epochs=30, seed=1)
