@@ -2,8 +2,9 @@
 
 Four dimension reducers (SVD projection, PCA, SOM, FastICA), DBSCAN over
 mixed numeric/nominal data, EM Gaussian-mixture clustering, and a benchmark
-harness that wires them into a reduce -> DBSCAN -> similarity -> filter -> EM
-pipeline and emits measurement tables.
+harness that wires them into a reduce -> DBSCAN -> filter -> EM pipeline and
+emits measurement tables. ``data_to_similarity`` derives an inverse-distance
+similarity matrix as a library utility; the benchmark does not build one.
 """
 
 from .benchmark import (

@@ -1,10 +1,12 @@
-"""The reduce -> DBSCAN -> similarity -> filter -> EM benchmark harness.
+"""The reduce -> DBSCAN -> filter -> EM benchmark harness.
 
 One run covers every (dataset, reducer) cell of the grid: reduce (or pass
 through), time DBSCAN with a monotonic clock, count clusters
-(performance-1), derive the similarity matrix, drop noise rows, fit the EM
-mixture and record its mean log-likelihood (performance-2). Reports are
-deterministic for a given seed except for the wall-time fields.
+(performance-1), drop noise rows, fit the EM mixture and record its mean
+log-likelihood (performance-2). EM reads the (reduced) coordinates, so the
+bench derives no similarity matrix; ``data_to_similarity`` stays a library
+utility. Reports are deterministic for a given seed except for the
+wall-time fields.
 """
 
 import hashlib
@@ -16,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, NonNoiseCondition, data_to_similarity, filter_examples, load_dataset, normalize
-from .density import dbscan, cluster_count
+from .dataset import Dataset, load_dataset, normalize
+from .dataset import data_to_similarity, filter_examples  # noqa: F401  (call-site tracers wrap these names here)
+from .density import NOISE, dbscan, cluster_count
 from .errors import InvalidConfigError, OutputError, SchemaError
 from .mixture import em_fit
 from .reducers import (
@@ -197,18 +200,14 @@ def load_config_datasets(config):
     return loaded
 
 
-def _plot_points(reduced, work, assignment):
+def _plot_points(coords, assignment):
     """Per-example plot records: two leading coordinates, cluster id, noise flag."""
-    if reduced is not None:
-        coords = reduced.data
-    else:
-        coords = work.numeric_matrix()
     if coords.shape[1] >= 2:
         xy = coords[:, :2]
     else:
         xy = np.column_stack([coords[:, 0], np.zeros(coords.shape[0])])
     return [
-        (float(x), float(y), int(label), int(label == -1))
+        (float(x), float(y), int(label), int(label == NOISE))
         for (x, y), label in zip(xy, assignment.labels)
     ]
 
@@ -228,8 +227,10 @@ def _run_cell(ds, work, reducer, config, seed):
 
         if reduced is None:
             cluster_input, schema = work.feature_rows(), work.distance_schema()
+            coords = work.numeric_matrix()
         else:
             cluster_input, schema = reduced.data, None
+            coords = reduced.data
         t2 = time.perf_counter()
         assignment = dbscan(cluster_input, eps=config.eps, min_pts=config.min_pts, schema=schema)
         t3 = time.perf_counter()
@@ -239,20 +240,11 @@ def _run_cell(ds, work, reducer, config, seed):
         cell.total_ms = round(((t1 - t0) + (t3 - t2)) * 1000.0)
         cell.n_clusters = cluster_count(assignment)
         cell.noise_count = assignment.noise_count
-        cell.points = _plot_points(reduced, work, assignment)
+        cell.points = _plot_points(coords, assignment)
 
-        data_to_similarity(reduced if reduced is not None else work)
-
-        survivors = filter_examples(work, NonNoiseCondition(assignment))
-        if reduced is None:
-            em_input = survivors.numeric_matrix() if survivors.n_rows else None
-        else:
-            em_input = reduced.data[assignment.labels != -1]
-        if em_input is None or em_input.shape[0] < config.em_k:
-            cell.em_note = (
-                f"EM skipped: {0 if em_input is None else em_input.shape[0]} non-noise rows "
-                f"< k={config.em_k}"
-            )
+        em_input = coords[assignment.labels != NOISE]
+        if em_input.shape[0] < config.em_k:
+            cell.em_note = f"EM skipped: {em_input.shape[0]} non-noise rows < k={config.em_k}"
         else:
             model = em_fit(
                 em_input,

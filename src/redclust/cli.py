@@ -228,8 +228,10 @@ def cmd_reduce(args):
         out = som_encode(model, matrix)
         reduced_data, k = out.data, out.k
     else:  # fastica
+        # centred rows span at most n - 1 directions, so wider tables keep n - 1
         model = fastica_fit(
             matrix,
+            n_components=min(matrix.shape[1], matrix.shape[0] - 1),
             nonlinearity=config.ica_nonlinearity,
             tol=config.ica_tol,
             max_iter=config.ica_max_iter,

@@ -110,6 +110,20 @@ class TestRunBenchmark:
         assert not cell.failed, cell.error
         assert cell.attribute_count == 39
 
+    def test_no_float_distance_or_similarity_matrix(self, monkeypatch, tiny_pair):
+        # DBSCAN needs only the eps-graph and EM reads coordinates
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bench built an n x n float matrix")
+
+        monkeypatch.setattr("redclust.density.pairwise_distances", refuse)
+        monkeypatch.setattr("redclust.benchmark.data_to_similarity", refuse)
+        report = run_benchmark(fast_config([tiny_pair]))
+        assert len(report.cells) == len(report.config.reducers)
+        for cell in report.cells.values():
+            assert not cell.failed, cell.error
+            assert cell.n_clusters == 2
+            assert cell.mean_log_likelihood is not None
+
     def test_validation_errors(self, tiny_pair):
         with pytest.raises(InvalidConfigError):
             run_benchmark(fast_config([tiny_pair], eps=0.0))

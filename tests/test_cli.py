@@ -84,6 +84,30 @@ class TestReduce:
         assert code == 2
         assert "save-model" in err
 
+    def test_fastica_on_wide_table(self, capsys, tmp_path):
+        # 40 centred rows span 39 directions, whatever the column count
+        rng = np.random.default_rng(40)
+        names = [f"x{j}" for j in range(60)]
+        rows = [",".join(names)] + [
+            ",".join(f"{v:.6f}" for v in row) for row in rng.normal(size=(40, 60))
+        ]
+        data = tmp_path / "wide.csv"
+        data.write_text("\n".join(rows) + "\n")
+        schema = tmp_path / "wide.schema.json"
+        schema.write_text(json.dumps({"name": "wide", "columns": [{"name": n} for n in names]}))
+        out = tmp_path / "red"
+        code, stdout, err = run(
+            ["reduce", "--dataset", str(data), "--schema", str(schema),
+             "--reducer", "fastica", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0, err
+        lines = (out / "wide_fastica_reduced.csv").read_text().splitlines()
+        assert lines[0].split(",") == [f"c{i + 1}" for i in range(39)]
+        assert len(lines) == 41
+        assert all(len(line.split(",")) == 39 for line in lines[1:])
+        assert "60 -> 39" in stdout
+
 
 class TestCluster:
     def test_writes_assignment_and_summary(self, capsys, tiny_pair, tmp_path):

@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from redclust.density import (
+    _BLOCK_ROWS,
     NOISE,
     ClusterAssignment,
     DistanceSchema,
@@ -9,6 +13,7 @@ from redclust.density import (
     dbscan,
     mixed_euclidean,
     pairwise_distances,
+    _squared_threshold,
 )
 from redclust.errors import InvalidInputError
 
@@ -59,6 +64,12 @@ def reachability_oracle(dist, eps, min_pts):
         if candidates:
             labels[i] = min(candidates)
     return labels
+
+
+def oracle_roles(dist, eps, min_pts, labels):
+    """Roles implied by the eps-graph of ``dist`` and the oracle's labels."""
+    core = (dist <= eps).sum(axis=1) >= min_pts
+    return np.where(core, "core", np.where(labels == NOISE, "noise", "border"))
 
 
 def as_partition(labels):
@@ -113,6 +124,15 @@ class TestMixedEuclidean:
             dik = mixed_euclidean(rows[i], rows[k], schema)
             dkj = mixed_euclidean(rows[k], rows[j], schema)
             assert dij <= dik + dkj + 1e-9
+
+    def test_pairwise_across_blocks_matches_broadcast(self):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(2 * _BLOCK_ROWS + 17, 3))
+        expected = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+        dist = pairwise_distances(x)
+        assert np.allclose(dist, expected, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(dist, dist.T)
+        assert np.all(np.diag(dist) == 0.0)
 
     def test_schema_mismatch(self):
         schema = DistanceSchema(kinds=("numeric",))
@@ -227,6 +247,73 @@ class TestDbscan:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError):
             dbscan(np.array([[1.0], [np.inf]]), eps=1.0, min_pts=1)
+
+
+class TestEpsGraph:
+    """DBSCAN builds its eps-graph in row blocks; it must match the full matrix."""
+
+    def assert_matches_oracle(self, data, eps, min_pts, schema=None):
+        out = dbscan(data, eps=eps, min_pts=min_pts, schema=schema)
+        dist = pairwise_distances(data, schema)
+        labels = reachability_oracle(dist, eps, min_pts)
+        assert np.array_equal(out.labels, labels)
+        assert np.array_equal(out.roles, oracle_roles(dist, eps, min_pts, labels))
+
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS // 2, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 17])
+    def test_block_boundaries_match_oracle(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(scale=1.5, size=(n, 3))
+        for eps, min_pts in [(0.8, 1), (1.0, 4), (1.5, 7)]:
+            self.assert_matches_oracle(x, eps, min_pts)
+
+    def test_mixed_rows_across_blocks_match_oracle(self):
+        rng = np.random.default_rng(41)
+        schema = DistanceSchema(kinds=("numeric", "nominal", "numeric", "nominal"))
+        pool = ["a", "b", "c"]
+        n = 2 * _BLOCK_ROWS + 17
+        rows = [
+            (float(rng.normal()), pool[rng.integers(3)], float(rng.normal()), pool[rng.integers(2)])
+            for _ in range(n)
+        ]
+        for eps, min_pts in [(1.0, 3), (1.5, 5), (2.0, 9)]:
+            self.assert_matches_oracle(rows, eps, min_pts, schema)
+
+    def test_boundary_ties_match_oracle(self):
+        # a grid of step 0.5 puts many pairs at exactly eps
+        grid = np.array([[0.5 * i, 0.5 * j] for i in range(12) for j in range(9)])
+        for eps in (0.5, 1.0, 1.5):
+            self.assert_matches_oracle(grid, eps, 5)
+
+    def test_threshold_is_largest_square_within_eps(self):
+        rng = np.random.default_rng(42)
+        values = [1.0, 0.5, 0.1, 0.3, 2.0, 1e-3, 1e150, 1e-150, 7.0, 1e-160]
+        values += list(rng.uniform(0.01, 10.0, size=500))
+        values += list(10.0 ** rng.uniform(-100, 100, size=500))
+        for eps in values:
+            t = _squared_threshold(eps)
+            assert math.sqrt(t) <= eps < math.sqrt(math.nextafter(t, math.inf))
+
+    def test_pair_between_eps_squared_and_threshold_is_neighbour(self):
+        # squared distance 1 + 2**-52 exceeds eps**2 = 1, yet its sqrt rounds to 1.0
+        x = np.array([[0.0, 0.0], [1.0, 2.0**-26]])
+        sq = 1.0 + (2.0**-26) ** 2
+        assert _squared_threshold(1.0) == math.nextafter(1.0, math.inf) == sq
+        assert pairwise_distances(x)[0, 1] == 1.0
+        out = dbscan(x, eps=1.0, min_pts=2)
+        assert list(out.labels) == [0, 0]
+        assert list(out.roles) == ["core", "core"]
+
+    def test_peak_memory_below_one_float_matrix(self):
+        n = 2000
+        x = np.random.default_rng(43).normal(size=(n, 3))
+        full_matrix = n * n * 8  # one float64 n x n matrix: 32 MB
+        tracemalloc.start()
+        try:
+            dbscan(x, eps=0.5, min_pts=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_matrix / 2
 
 
 class TestClusterCount:
