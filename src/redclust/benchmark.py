@@ -144,16 +144,20 @@ def _derive_seed(base, dataset_index, reducer_index):
     )
 
 
-def apply_reducer(name, matrix, config, seed):
-    """Run one named reducer over a numeric matrix, returning its ReducedDataset."""
+def fit_reducer(name, matrix, config, seed):
+    """Fit one named reducer to a numeric matrix: (model, ReducedDataset).
+
+    The one dispatch behind the bench grid and every CLI subcommand; the
+    model is None for svd, which keeps no fitted state.
+    """
     if name == "svd":
-        return svd_reduce(matrix, k=min(config.svd_k, min(matrix.shape)))
+        return None, svd_reduce(matrix, k=min(config.svd_k, min(matrix.shape)))
     if name == "pca":
         if config.pca_k is not None:
             model = pca_fit(matrix, k=min(config.pca_k, matrix.shape[1]))
         else:
             model = pca_fit(matrix, variance_threshold=config.pca_variance_threshold)
-        return pca_encode(model, matrix)
+        return model, pca_encode(model, matrix)
     if name == "som":
         grid = som_fit(
             matrix,
@@ -164,7 +168,7 @@ def apply_reducer(name, matrix, config, seed):
             radius0=config.som_radius0,
             seed=seed,
         )
-        return som_encode(grid, matrix)
+        return grid, som_encode(grid, matrix)
     if name == "fastica":
         # centred rows span at most n - 1 directions, so wider tables keep n - 1
         model = fastica_fit(
@@ -175,9 +179,7 @@ def apply_reducer(name, matrix, config, seed):
             max_iter=config.ica_max_iter,
             seed=seed,
         )
-        out = fastica_transform(model, matrix)
-        out.config["converged"] = model.converged
-        return out
+        return model, fastica_transform(model, matrix)
     raise InvalidConfigError(f"unknown reducer {name!r}")
 
 
@@ -220,9 +222,9 @@ def _run_cell(ds, work, reducer, config, seed):
             reduced = None
             cell.attribute_count = work.n_regular
         else:
-            reduced = apply_reducer(reducer, work.numeric_matrix(), config, seed)
+            model, reduced = fit_reducer(reducer, work.numeric_matrix(), config, seed)
             cell.attribute_count = reduced.k
-            cell.reducer_converged = reduced.config.get("converged")
+            cell.reducer_converged = getattr(model, "converged", None)
         t1 = time.perf_counter()
 
         if reduced is None:
@@ -260,10 +262,15 @@ def _run_cell(ds, work, reducer, config, seed):
     return cell
 
 
-def run_benchmark(config):
-    """Populate the full (dataset x reducer) grid for one normalization variant."""
+def run_benchmark(config, datasets=None):
+    """Populate the full (dataset x reducer) grid for one normalization variant.
+
+    ``datasets`` are config.datasets already loaded by load_config_datasets;
+    they are loaded here when not given.
+    """
     config.validate()
-    datasets = load_config_datasets(config)
+    if datasets is None:
+        datasets = load_config_datasets(config)
     cells = {}
     warnings = []
     for di, ds in enumerate(datasets):
@@ -489,7 +496,7 @@ def run_full_benchmark(config, out_dir):
     reports = {}
     variants = [True, False] if config.normalize else [False]
     for normalized in variants:
-        report = run_benchmark(replace(config, normalize=normalized))
+        report = run_benchmark(replace(config, normalize=normalized), datasets)
         reports["normalized" if normalized else "raw"] = report
         emit_report(report, out_dir / ("normalized" if normalized else "raw"))
 

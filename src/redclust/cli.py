@@ -13,25 +13,11 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .benchmark import (
-    BenchmarkConfig,
-    apply_reducer,
-    paired_dbscan_timing,
-    run_full_benchmark,
-)
+from .benchmark import BenchmarkConfig, fit_reducer, paired_dbscan_timing, run_full_benchmark
 from .dataset import load_dataset, normalize
 from .density import cluster_count, dbscan
 from .errors import InvalidConfigError, RedclustError
 from .model_io import save_model
-from .reducers import (
-    fastica_fit,
-    fastica_transform,
-    pca_encode,
-    pca_fit,
-    som_encode,
-    som_fit,
-    svd_reduce,
-)
 from .reference import REDUCER_ORDER
 
 _CONFIG_KEYS = {f.name for f in fields(BenchmarkConfig)} - {"datasets", "reducers"}
@@ -78,7 +64,9 @@ def build_parser():
             default=None,
             help="reduction technique (default: pca for reduce, none for cluster)",
         )
-        p.add_argument("--k", type=int, default=None, help="retained dimensions for svd/pca")
+        p.add_argument(
+            "--k", type=int, default=None, help="retained dimensions for both svd and pca"
+        )
         p.add_argument(
             "--variance-threshold",
             type=float,
@@ -139,7 +127,10 @@ def load_config_file(path):
 
 
 def merge_config(args, flag_map):
-    """defaults <- config file <- explicit flags, in that order."""
+    """defaults <- config file <- explicit flags, in that order.
+
+    ``--k`` sets both svd_k and pca_k, so it means the same in every subcommand.
+    """
     config = BenchmarkConfig()
     if getattr(args, "config", None):
         for key, value in load_config_file(args.config).items():
@@ -148,6 +139,10 @@ def merge_config(args, flag_map):
         value = getattr(args, flag, None)
         if value is not None:
             setattr(config, key, value)
+    if getattr(args, "k", None) is not None:
+        if args.k < 1:
+            raise UsageError(f"--k must be >= 1, got {args.k}")
+        config.svd_k = config.pca_k = args.k
     if getattr(args, "no_normalize", False):
         config.normalize = False
     return config
@@ -182,63 +177,27 @@ def _out_dir(args):
     return Path(args.out) if args.out else Path("redclust-out")
 
 
-def _prepare_matrix(args, config, pair):
+def _load_work(config, pair):
     ds = load_dataset(*pair)
-    work = normalize(ds) if config.normalize else ds
-    return ds, work
+    return ds, normalize(ds) if config.normalize else ds
 
 
 def cmd_reduce(args):
     config = merge_config(args, _FLAG_MAP)
-    if args.k is not None and args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
     reducer = args.reducer or "pca"
     if args.save_model and reducer in ("svd", "none"):
         raise UsageError("--save-model applies to pca, som and fastica only")
     pair = _dataset_pairs(args)[0]
     config.datasets = [pair]
     _validate_usage(config)
-    ds, work = _prepare_matrix(args, config, pair)
+    ds, work = _load_work(config, pair)
     matrix = work.numeric_matrix()
-    seed = config.seed
-
-    model = None
     if reducer == "none":
-        reduced_data, k = matrix, matrix.shape[1]
-    elif reducer == "svd":
-        out = svd_reduce(matrix, k=min(args.k or config.svd_k, min(matrix.shape)))
-        reduced_data, k = out.data, out.k
-    elif reducer == "pca":
-        if args.k is not None:
-            model = pca_fit(matrix, k=min(args.k, matrix.shape[1]))
-        else:
-            model = pca_fit(matrix, variance_threshold=config.pca_variance_threshold)
-        out = pca_encode(model, matrix)
-        reduced_data, k = out.data, out.k
-    elif reducer == "som":
-        model = som_fit(
-            matrix,
-            width=config.som_width,
-            height=config.som_height,
-            epochs=config.som_epochs,
-            lr0=config.som_lr0,
-            radius0=config.som_radius0,
-            seed=seed,
-        )
-        out = som_encode(model, matrix)
-        reduced_data, k = out.data, out.k
-    else:  # fastica
-        # centred rows span at most n - 1 directions, so wider tables keep n - 1
-        model = fastica_fit(
-            matrix,
-            n_components=min(matrix.shape[1], matrix.shape[0] - 1),
-            nonlinearity=config.ica_nonlinearity,
-            tol=config.ica_tol,
-            max_iter=config.ica_max_iter,
-            seed=seed,
-        )
-        out = fastica_transform(model, matrix)
-        reduced_data, k = out.data, out.k
+        model, reduced_data = None, matrix
+    else:
+        model, reduced = fit_reducer(reducer, matrix, config, config.seed)
+        reduced_data = reduced.data
+    k = reduced_data.shape[1]
 
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,15 +214,10 @@ def cmd_reduce(args):
 def cmd_cluster(args):
     config = merge_config(args, _FLAG_MAP)
     reducer = args.reducer or "none"
-    if args.k is not None:
-        if args.k < 1:
-            raise UsageError(f"--k must be >= 1, got {args.k}")
-        config.svd_k = args.k
-        config.pca_k = args.k
     pair = _dataset_pairs(args)[0]
     config.datasets = [pair]
     _validate_usage(config)
-    ds, work = _prepare_matrix(args, config, pair)
+    ds, work = _load_work(config, pair)
 
     if reducer == "none":
         assignment = dbscan(
@@ -271,7 +225,7 @@ def cmd_cluster(args):
             schema=work.distance_schema(),
         )
     else:
-        reduced = apply_reducer(reducer, work.numeric_matrix(), config, config.seed)
+        _, reduced = fit_reducer(reducer, work.numeric_matrix(), config, config.seed)
         assignment = dbscan(reduced.data, eps=config.eps, min_pts=config.min_pts)
 
     out_dir = _out_dir(args)
@@ -304,10 +258,6 @@ def cmd_cluster(args):
 
 def cmd_bench(args):
     config = merge_config(args, _FLAG_MAP)
-    if args.k is not None:
-        if args.k < 1:
-            raise UsageError(f"--k must be >= 1, got {args.k}")
-        config.svd_k = args.k
     if args.reducer is not None:
         config.reducers = (args.reducer,)
     config.datasets = _dataset_pairs(args)

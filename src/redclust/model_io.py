@@ -1,10 +1,13 @@
 """JSON round-tripping for fitted reducer models.
 
-Floats survive exactly: json emits the shortest repr that parses back to
-the same double, so save -> load reproduces every field bit-for-bit.
+A model file is ``{"type": <reducer name>, <field>: <value>, ...}`` with the
+model dataclass's fields in declaration order. Floats survive exactly: json
+emits the shortest repr that parses back to the same double, so save -> load
+reproduces every field bit-for-bit.
 """
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,61 +15,44 @@ import numpy as np
 from .errors import InvalidInputError, OutputError
 from .reducers import IcaModel, PcaModel, SomGrid
 
+# reducer name (as in REDUCER_ORDER) -> the model class its fit returns
+MODEL_TYPES = {"pca": PcaModel, "som": SomGrid, "fastica": IcaModel}
+_TYPE_NAMES = {cls: name for name, cls in MODEL_TYPES.items()}
+
 
 def model_to_dict(model):
-    if isinstance(model, PcaModel):
-        return {
-            "type": "pca",
-            "basis": model.basis.tolist(),
-            "mean": model.mean.tolist(),
-            "eigenvalues": model.eigenvalues.tolist(),
-        }
-    if isinstance(model, SomGrid):
-        return {
-            "type": "som",
-            "width": model.width,
-            "height": model.height,
-            "codebook": model.codebook.tolist(),
-            "qe_log": list(model.qe_log),
-        }
-    if isinstance(model, IcaModel):
-        return {
-            "type": "fastica",
-            "mean": model.mean.tolist(),
-            "whitening": model.whitening.tolist(),
-            "unmixing": model.unmixing.tolist(),
-            "nonlinearity": model.nonlinearity,
-            "converged": model.converged,
-            "n_iter": model.n_iter,
-        }
-    raise InvalidInputError(f"cannot serialize {type(model).__name__}")
+    kind = _TYPE_NAMES.get(type(model))
+    if kind is None:
+        raise InvalidInputError(f"cannot serialize {type(model).__name__}")
+    out = {"type": kind}
+    for f in fields(model):
+        value = getattr(model, f.name)
+        out[f.name] = value.tolist() if f.type is np.ndarray else value
+    return out
 
 
 def model_from_dict(payload):
+    if not isinstance(payload, dict):
+        raise InvalidInputError(f"model must be a JSON object, got {type(payload).__name__}")
     kind = payload.get("type")
-    if kind == "pca":
-        return PcaModel(
-            basis=np.asarray(payload["basis"], dtype=float),
-            mean=np.asarray(payload["mean"], dtype=float),
-            eigenvalues=np.asarray(payload["eigenvalues"], dtype=float),
-        )
-    if kind == "som":
-        return SomGrid(
-            width=int(payload["width"]),
-            height=int(payload["height"]),
-            codebook=np.asarray(payload["codebook"], dtype=float),
-            qe_log=list(payload["qe_log"]),
-        )
-    if kind == "fastica":
-        return IcaModel(
-            mean=np.asarray(payload["mean"], dtype=float),
-            whitening=np.asarray(payload["whitening"], dtype=float),
-            unmixing=np.asarray(payload["unmixing"], dtype=float),
-            nonlinearity=payload["nonlinearity"],
-            converged=bool(payload["converged"]),
-            n_iter=int(payload["n_iter"]),
-        )
-    raise InvalidInputError(f"unknown model type {kind!r}")
+    cls = MODEL_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InvalidInputError(f"unknown model type {kind!r}; valid: {list(MODEL_TYPES)}")
+    wanted = [f.name for f in fields(cls)]
+    missing = [name for name in wanted if name not in payload]
+    if missing:
+        raise InvalidInputError(f"{kind} model is missing fields {missing}")
+    extra = sorted(set(payload) - set(wanted) - {"type"})
+    if extra:
+        raise InvalidInputError(f"{kind} model has unknown fields {extra}")
+    values = {}
+    for f in fields(cls):
+        convert = (lambda v: np.asarray(v, dtype=float)) if f.type is np.ndarray else f.type
+        try:
+            values[f.name] = convert(payload[f.name])
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"{kind} model: bad field {f.name!r}: {exc}") from exc
+    return cls(**values)
 
 
 def save_model(model, path):
@@ -85,4 +71,7 @@ def load_model(path):
         raise InvalidInputError(f"cannot read model from {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_dict(payload)
+    try:
+        return model_from_dict(payload)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"model file {path}: {exc}") from exc

@@ -1,9 +1,11 @@
+import inspect
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import redclust.benchmark as bench
 from redclust.benchmark import (
     BenchmarkConfig,
     emit_report,
@@ -16,6 +18,7 @@ from redclust.dataset import load_dataset
 from redclust.errors import (
     DatasetParseError,
     InvalidConfigError,
+    InvalidInputError,
     SchemaError,
 )
 from redclust.model_io import load_model, save_model
@@ -123,6 +126,50 @@ class TestRunBenchmark:
             assert not cell.failed, cell.error
             assert cell.n_clusters == 2
             assert cell.mean_log_likelihood is not None
+
+    def test_reducer_calls_reach_the_benchmark_names(self, monkeypatch, tiny_pair):
+        # perfbench wraps these names at redclust.benchmark and binds their
+        # arguments by parameter name; a dispatch that bypasses them checks nothing
+        bound = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                arguments = inspect.signature(fn).bind(*args, **kwargs)
+                arguments.apply_defaults()
+                bound.setdefault(name, []).append(set(arguments.arguments))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        params = {
+            "svd_reduce": {"x", "k"},
+            "pca_fit": {"x", "k", "variance_threshold"},
+            "som_fit": {"x", "epochs"},
+            "som_encode": {"grid", "x"},
+            "fastica_fit": {"x"},
+            "fastica_transform": {"model"},
+            "dbscan": {"data", "eps", "min_pts", "schema"},
+            "em_fit": {"x"},
+        }
+        for name in params:
+            monkeypatch.setattr(bench, name, counting(name, getattr(bench, name)))
+        report = run_benchmark(fast_config([tiny_pair]))
+        assert not any(cell.failed for cell in report.cells.values())
+        fitted = sum(cell.mean_log_likelihood is not None for cell in report.cells.values())
+        counts = {name: len(calls) for name, calls in bound.items()}
+        assert counts == {
+            "svd_reduce": 1,
+            "pca_fit": 1,
+            "som_fit": 1,
+            "som_encode": 1,
+            "fastica_fit": 1,
+            "fastica_transform": 1,
+            "dbscan": len(report.cells),
+            "em_fit": fitted,
+        }
+        assert fitted >= 1
+        for name, calls in bound.items():
+            assert all(params[name] <= call for call in calls), name
 
     def test_validation_errors(self, tiny_pair):
         with pytest.raises(InvalidConfigError):
@@ -233,6 +280,14 @@ class TestFullBenchmark:
         assert set(reports) == {"raw"}
         assert not (out / "normalized").exists()
 
+    def test_each_dataset_loaded_once(self, monkeypatch, tmp_path, tiny_pair):
+        loads = []
+        load = bench.load_dataset
+        monkeypatch.setattr(bench, "load_dataset", lambda *a: loads.append(a) or load(*a))
+        reports = run_full_benchmark(fast_config([tiny_pair]), tmp_path / "full")
+        assert len(loads) == 1
+        assert [r.dataset_names for r in reports.values()] == [["tiny"], ["tiny"]]
+
     def test_sweep_rows(self, tiny_pair):
         ds = load_dataset(*tiny_pair)
         rows = pca_threshold_sweep([ds], fast_config([tiny_pair]))
@@ -253,6 +308,9 @@ class TestModelIo:
         assert np.array_equal(back.basis, model.basis)
         assert np.array_equal(back.mean, model.mean)
         assert np.array_equal(back.eigenvalues, model.eigenvalues)
+        resaved = tmp_path / "pca_again.json"
+        save_model(back, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
 
     def test_som_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -263,6 +321,9 @@ class TestModelIo:
         assert np.array_equal(back.codebook, grid.codebook)
         assert back.qe_log == grid.qe_log
         assert (back.width, back.height) == (3, 2)
+        resaved = tmp_path / "som_again.json"
+        save_model(back, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
 
     def test_ica_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -276,3 +337,27 @@ class TestModelIo:
         assert back.nonlinearity == model.nonlinearity
         assert back.converged == model.converged
         assert back.n_iter == model.n_iter
+        resaved = tmp_path / "ica_again.json"
+        save_model(back, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ([], "JSON object"),
+            ({"basis": [[1.0]]}, "unknown model type None"),
+            ({"type": "umap"}, "'umap'"),
+            ({"type": "pca", "basis": [[1.0]]}, "'mean'"),
+            ({"type": "pca", "basis": [[1.0]], "mean": [0.0], "eigenvalues": [1.0],
+              "scale": 2.0}, "'scale'"),
+            ({"type": "som", "width": "wide", "height": 1, "codebook": [[0.0]],
+              "qe_log": []}, "'width'"),
+        ],
+    )
+    def test_malformed_model_rejected(self, tmp_path, payload, named):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidInputError) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+        assert named in str(info.value)

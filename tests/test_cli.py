@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from redclust.cli import main
 from redclust.model_io import load_model
@@ -36,6 +37,18 @@ class TestUsage:
         assert code != 0
         assert "eps" in err
         assert not out.exists()  # no partial output files
+
+    @pytest.mark.parametrize("command", ["reduce", "cluster", "bench"])
+    def test_k_zero_names_flag(self, capsys, tiny_pair, tmp_path, command):
+        out = tmp_path / "never"
+        code, _, err = run(
+            [command, "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--k", "0", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert "--k must be >= 1" in err
+        assert not out.exists()
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
@@ -74,6 +87,20 @@ class TestReduce:
         assert code == 0
         model = load_model(model_path)
         assert model.basis.shape[0] == 3
+
+    def test_config_pca_k_honoured(self, capsys, tiny_pair, tmp_path):
+        # the 0.95 variance rule keeps one axis of the two blobs; pca_k overrides it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pca_k": 2}))
+        out = tmp_path / "red"
+        code, stdout, _ = run(
+            ["reduce", "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--reducer", "pca", "--config", str(cfg), "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert (out / "tiny_pca_reduced.csv").read_text().splitlines()[0] == "c1,c2"
+        assert "3 -> 2" in stdout
 
     def test_save_model_rejected_for_svd(self, capsys, tiny_pair, tmp_path):
         code, _, err = run(
@@ -208,6 +235,18 @@ class TestBench:
         report = json.loads((out / "normalized" / "report.json").read_text())
         assert [c["reducer"] for c in report["cells"]] == ["pca"]
         assert "normalized: 1 cells" in stdout
+
+    def test_k_sets_pca_dimensions(self, capsys, tiny_pair, tmp_path):
+        out = tmp_path / "bench"
+        code, _, _ = run(
+            ["bench", "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--reducer", "pca", "--k", "2", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        for variant in ("normalized", "raw"):
+            report = json.loads((out / variant / "report.json").read_text())
+            assert [c["attribute_count"] for c in report["cells"]] == [2]
 
     def test_mismatched_dataset_schema_counts(self, capsys, tiny_pair, tmp_path):
         code, _, err = run(
