@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, load_dataset, normalize
+from .dataset import load_dataset, normalize
 from .dataset import data_to_similarity, filter_examples  # noqa: F401  (call-site tracers wrap these names here)
 from .density import NOISE, dbscan, cluster_count
 from .errors import InvalidConfigError, OutputError, SchemaError
@@ -88,6 +88,8 @@ class BenchmarkConfig:
             raise InvalidConfigError(f"em-quality must be positive, got {self.em_quality}")
         if self.svd_k < 1:
             raise InvalidConfigError(f"k must be >= 1, got {self.svd_k}")
+        if self.pca_k is not None and self.pca_k < 1:
+            raise InvalidConfigError(f"pca_k must be >= 1, got {self.pca_k}")
         if self.pca_k is None and not 0.0 < self.pca_variance_threshold <= 1.0:
             raise InvalidConfigError(
                 f"variance-threshold must be in (0, 1], got {self.pca_variance_threshold}"
@@ -186,12 +188,8 @@ def fit_reducer(name, matrix, config, seed):
 def load_config_datasets(config):
     """Load and sanity-check every dataset before any cell runs."""
     loaded = []
-    for entry in config.datasets:
-        if isinstance(entry, Dataset):
-            ds = entry
-        else:
-            data_path, schema_path = entry
-            ds = load_dataset(data_path, schema_path)
+    for data_path, schema_path in config.datasets:
+        ds = load_dataset(data_path, schema_path)
         expected = EXPECTED_REGULAR_ATTRIBUTES.get(ds.name)
         if expected is not None and ds.n_regular != expected:
             raise SchemaError(

@@ -10,6 +10,7 @@ runtime failures, each with a one-line diagnostic.
 import argparse
 import json
 import sys
+import typing
 from dataclasses import fields
 from pathlib import Path
 
@@ -20,7 +21,12 @@ from .errors import InvalidConfigError, RedclustError
 from .model_io import save_model
 from .reference import REDUCER_ORDER
 
-_CONFIG_KEYS = {f.name for f in fields(BenchmarkConfig)} - {"datasets", "reducers"}
+# config-file key -> the types its BenchmarkConfig field accepts (NoneType where Optional)
+_CONFIG_TYPES = {
+    f.name: typing.get_args(f.type) or (f.type,)
+    for f in fields(BenchmarkConfig)
+    if f.name not in ("datasets", "reducers")
+}
 
 
 class UsageError(Exception):
@@ -120,10 +126,23 @@ def load_config_file(path):
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    unknown = set(raw) - _CONFIG_KEYS
+    if not isinstance(raw, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
+    unknown = set(raw) - set(_CONFIG_TYPES)
     if unknown:
         raise UsageError(f"unknown config file keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        _check_config_type(key, value)
     return raw
+
+
+def _check_config_type(key, value):
+    """Reject a value the field cannot take: an int fits a float field, a bool only a bool one."""
+    types = _CONFIG_TYPES[key]
+    if type(value) in types or (type(value) is int and float in types):
+        return
+    expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+    raise UsageError(f"config file key {key!r} must be {expected}, got {value!r}")
 
 
 def merge_config(args, flag_map):

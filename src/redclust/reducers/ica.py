@@ -10,12 +10,9 @@ with beta_i = -E{y_i g(y_i)} and alpha_i = -1 / (beta_i - E{g'(y_i)}),
 re-orthogonalizing W after every step (symmetric decorrelation, all
 components at once). Expectations are sample means over the rows.
 
-The starting W is decorrelated by the eigen-based ``orthogonalize``. Inside
-the loop W is already near-orthogonal, so it is decorrelated by the
-matmul-only iteration of Hyvarinen (1999): scale W by 1/sqrt(||W W^T||_1),
-then repeat W <- 1.5 W - 0.5 (W W^T) W until max|W W^T - I| <= 1e-13. Both
-give the polar factor (W W^T)^(-1/2) W; a W that does not reach the bound
-within the step cap goes to ``orthogonalize`` instead.
+The starting W and every update are decorrelated to the polar factor
+(W W^T)^(-1/2) W by ``linalg.orthogonalize``, the matmul-only iteration
+Hyvarinen (1999) uses.
 """
 
 from dataclasses import dataclass
@@ -27,8 +24,6 @@ from ..linalg import as_matrix, center, orthogonalize, sym_eig
 from .base import ReducedDataset
 
 _EIGENVALUE_FLOOR = 1e-12
-_DECORRELATION_TOL = 1e-13
-_DECORRELATION_STEPS = 100
 
 NONLINEARITIES = {
     "tanh": (np.tanh, lambda y: 1.0 - np.tanh(y) ** 2),
@@ -70,29 +65,6 @@ def _whiten(x, n_components):
     vectors = pairs.vectors[:, :n_components]
     whitening = (vectors / np.sqrt(values)).T
     return centered @ whitening.T, whitening, mean
-
-
-def _decorrelate(w):
-    """Symmetric decorrelation (W W^T)^(-1/2) W of a square W by matmuls alone.
-
-    The scaling puts every singular value of W in (0, 1], where the
-    iteration converges, quadratically once they are near 1. A W still off
-    the bound after the step cap, such as a rank-deficient one, goes to
-    ``orthogonalize``, which raises DegenerateInputError when W W^T is
-    singular.
-    """
-    gram = w @ w.T
-    scale = np.max(np.sum(np.abs(gram), axis=0))
-    if scale > 0.0:
-        eye = np.eye(w.shape[0])
-        v = w / np.sqrt(scale)
-        gram = gram / scale
-        for _ in range(_DECORRELATION_STEPS):
-            if np.max(np.abs(gram - eye)) <= _DECORRELATION_TOL:
-                return v
-            v = 1.5 * v - 0.5 * (gram @ v)
-            gram = v @ v.T
-    return orthogonalize(w)
 
 
 def fastica_fit(
@@ -149,7 +121,7 @@ def fastica_fit(
         beta = -np.mean(y * gy, axis=0)
         alpha = -1.0 / (beta - np.mean(g_prime(y), axis=0))
         correction = (np.diag(beta) + (gy.T @ y) / n) @ w
-        w_new = _decorrelate(w + alpha[:, None] * correction)
+        w_new = orthogonalize(w + alpha[:, None] * correction)
         drift = np.max(np.abs(1.0 - np.abs(np.sum(w_new * w, axis=1))))
         w = w_new
         if drift < tol:

@@ -60,14 +60,19 @@ def _decayed(start, floor, epoch, epochs):
     return max(floor, start * np.exp(-epoch / tau))
 
 
-def quantization_error(codebook, x):
-    """Mean Euclidean distance from each row to its best-matching prototype."""
-    sq = (
+def _squared_distances(x, codebook):
+    """[i, j]: squared Euclidean distance of row i to prototype j, by the expanded square."""
+    return (
         np.sum(x * x, axis=1)[:, None]
         - 2.0 * x @ codebook.T
         + np.sum(codebook * codebook, axis=1)[None, :]
     )
-    return float(np.mean(np.sqrt(np.maximum(sq.min(axis=1), 0.0))))
+
+
+def quantization_error(codebook, x):
+    """Mean Euclidean distance from each row to its best-matching prototype."""
+    nearest = _squared_distances(x, codebook).min(axis=1)
+    return float(np.mean(np.sqrt(np.maximum(nearest, 0.0))))
 
 
 def som_fit(x, width, height, epochs=100, lr0=0.5, radius0=None, seed=0):
@@ -134,12 +139,7 @@ def som_encode(grid, x):
         raise InvalidInputError(
             f"input has {x.shape[1]} columns, codebook expects {grid.codebook.shape[1]}"
         )
-    sq = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * x @ grid.codebook.T
-        + np.sum(grid.codebook * grid.codebook, axis=1)[None, :]
-    )
-    bmu = np.argmin(sq, axis=1)
+    bmu = np.argmin(_squared_distances(x, grid.codebook), axis=1)
     data = np.column_stack([bmu % grid.width, bmu // grid.width]).astype(float)
     # a 1-D input still yields two grid coordinates; keep the dim bound consistent
     return ReducedDataset(

@@ -182,6 +182,8 @@ class TestRunBenchmark:
             run_benchmark(BenchmarkConfig(datasets=[]))
         with pytest.raises(InvalidConfigError):
             run_benchmark(fast_config([tiny_pair], em_quality=0.0))
+        with pytest.raises(InvalidConfigError):
+            run_benchmark(fast_config([tiny_pair], pca_k=0))
 
     def test_unknown_dataset_fails_before_work(self, tmp_path):
         config = fast_config([(str(tmp_path / "missing.csv"), str(tmp_path / "missing.json"))])

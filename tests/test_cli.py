@@ -205,6 +205,59 @@ class TestConfigPrecedence:
         assert code == 2
         assert "epzilon" in err
 
+    @pytest.mark.parametrize(
+        "entry",
+        [{"eps": "1"}, {"min_pts": 5.0}, {"em_k": True}, {"eps": False}, {"seed": None},
+         {"normalize": 1}, {"ica_nonlinearity": 3}],
+    )
+    def test_mistyped_config_value_rejected(self, capsys, tiny_pair, tmp_path, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        out = tmp_path / "never"
+        code, _, err = run(
+            ["cluster", "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--config", str(cfg), "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        (key,) = entry
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+        assert not out.exists()
+
+    def test_non_object_config_rejected(self, capsys, tiny_pair, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]")
+        code, _, err = run(
+            ["cluster", "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--config", str(cfg)],
+            capsys,
+        )
+        assert code == 2
+        assert "JSON object" in err
+
+    def test_int_accepted_for_float_and_null_for_optional(self, capsys, tiny_pair, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": 2, "pca_k": None, "som_radius0": None}))
+        out = tmp_path / "c3"
+        code, _, _ = run(
+            ["cluster", "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--config", str(cfg), "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads((out / "tiny_clustering.json").read_text())["eps"] == 2
+
+    def test_config_pca_k_zero_is_usage_error(self, capsys, tiny_pair, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pca_k": 0}))
+        code, _, err = run(
+            ["reduce", "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--reducer", "pca", "--config", str(cfg), "--out", str(tmp_path / "never")],
+            capsys,
+        )
+        assert code == 2
+        assert "pca_k" in err
+
 
 class TestBench:
     def test_bench_tree(self, capsys, tiny_pair, tmp_path):

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from redclust.errors import DegenerateInputError, InvalidConfigError, InvalidInputError
-from redclust.linalg import orthogonalize
 from redclust.reducers import fastica_fit, fastica_transform
-from redclust.reducers.ica import _decorrelate
 
 
 def make_sources(rng, n_samples, kinds):
@@ -178,53 +176,3 @@ class TestFasticaTransform:
         assert out.original_dim == 5
         assert out.reducer == "fastica"
 
-
-def polar_factor(w):
-    """Orthogonal polar factor U V^T of W = U S V^T, from numpy's SVD."""
-    u, _, vt = np.linalg.svd(w)
-    return u @ vt
-
-
-class TestDecorrelate:
-    SIZES = (2, 5, 8, 18)
-
-    def cases(self, n):
-        rng = np.random.default_rng(n)
-        q = polar_factor(rng.normal(size=(n, n)))
-        ill = (
-            polar_factor(rng.normal(size=(n, n)))
-            @ np.diag(np.logspace(0.0, -5.0, n))
-            @ polar_factor(rng.normal(size=(n, n)))
-        )
-        return {
-            "random": rng.normal(size=(n, n)),
-            "near-orthogonal": q + 1e-3 * rng.normal(size=(n, n)),
-            "ill-conditioned": ill,
-        }
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_matches_polar_factor(self, n):
-        for name, w in self.cases(n).items():
-            got = _decorrelate(w)
-            assert np.max(np.abs(got - polar_factor(w))) <= 1e-12, name
-            assert np.max(np.abs(got @ got.T - np.eye(n))) <= 1e-13, name
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_matches_orthogonalize(self, n):
-        # orthogonalize forms W W^T, so its own error grows with cond(W)^2;
-        # the ill-conditioned case is checked against numpy's polar factor above
-        for name in ("random", "near-orthogonal"):
-            w = self.cases(n)[name]
-            assert np.max(np.abs(_decorrelate(w) - orthogonalize(w))) <= 1e-12, name
-
-    @pytest.mark.parametrize(
-        "w",
-        [
-            np.array([[1.0, 2.0, 0.5], [1.0, 2.0, 0.5], [0.3, -1.0, 2.0]]),  # repeated row
-            np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),  # zero row
-            np.zeros((3, 3)),
-        ],
-    )
-    def test_rank_deficient_rejected(self, w):
-        with pytest.raises(DegenerateInputError):
-            _decorrelate(w)

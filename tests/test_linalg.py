@@ -13,6 +13,12 @@ from redclust import (
 from redclust.linalg import frobenius
 
 
+def polar_factor(w):
+    """Orthogonal polar factor U V^T of W = U S V^T, from numpy's SVD."""
+    u, _, vt = np.linalg.svd(w)
+    return u @ vt
+
+
 def reconstruction_error(x, factors):
     return frobenius(x - factors.reconstruct()) / max(1.0, frobenius(x))
 
@@ -162,6 +168,54 @@ class TestCenter:
 
 
 class TestOrthogonalize:
+    SIZES = (2, 5, 8, 18)
+
+    def cases(self, n):
+        rng = np.random.default_rng(n)
+        q = polar_factor(rng.normal(size=(n, n)))
+        ill = (
+            polar_factor(rng.normal(size=(n, n)))
+            @ np.diag(np.logspace(0.0, -5.0, n))
+            @ polar_factor(rng.normal(size=(n, n)))
+        )
+        return {
+            "random": rng.normal(size=(n, n)),
+            "near-orthogonal": q + 1e-3 * rng.normal(size=(n, n)),
+            "ill-conditioned": ill,
+        }
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_polar_factor(self, n):
+        for name, w in self.cases(n).items():
+            got = orthogonalize(w)
+            assert np.max(np.abs(got - polar_factor(w))) <= 1e-12, name
+            assert np.max(np.abs(got @ got.T - np.eye(n))) <= 1e-13, name
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            np.array([[1.0, 2.0, 0.5], [1.0, 2.0, 0.5], [0.3, -1.0, 2.0]]),  # repeated row
+            np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),  # zero row
+            np.zeros((3, 3)),
+        ],
+    )
+    def test_degenerate_rows_rejected(self, w):
+        with pytest.raises(DegenerateInputError):
+            orthogonalize(w)
+
+    @pytest.mark.parametrize("n", (3, 8, 18))
+    def test_dependent_last_row_rejected(self, n):
+        w = np.random.default_rng(n).normal(size=(n, n))
+        w[-1] = w[0] + w[1]
+        with pytest.raises(DegenerateInputError):
+            orthogonalize(w)
+
+    def test_scale_invariant(self):
+        # scaling by a power of two is exact, so the iteration sees the same W
+        w = np.random.default_rng(15).normal(size=(6, 6))
+        assert np.array_equal(orthogonalize(2.0**-30 * w), orthogonalize(w))
+        assert np.array_equal(orthogonalize(1e-7 * np.eye(3)), np.eye(3))
+
     def test_orthogonal_input_unchanged(self):
         theta = 0.3
         w = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
