@@ -11,6 +11,7 @@ wall-time fields.
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
@@ -33,6 +34,7 @@ from .reducers import (
     som_fit,
     svd_reduce,
 )
+from .reducers.ica import NONLINEARITIES
 from .reference import (
     CANONICAL_DATASETS,
     DISPLAY_NAMES,
@@ -78,14 +80,14 @@ class BenchmarkConfig:
         unknown = [r for r in self.reducers if r not in REDUCER_ORDER]
         if unknown:
             raise InvalidConfigError(f"unknown reducers {unknown}; valid: {list(REDUCER_ORDER)}")
-        if self.eps <= 0:
-            raise InvalidConfigError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise InvalidConfigError(f"eps must be positive and finite, got {self.eps}")
         if self.min_pts < 1:
             raise InvalidConfigError(f"minpts must be >= 1, got {self.min_pts}")
         if self.em_k < 1 or self.em_runs < 1 or self.em_steps < 1:
             raise InvalidConfigError("em-k, em-runs and em-steps must be >= 1")
-        if self.em_quality <= 0:
-            raise InvalidConfigError(f"em-quality must be positive, got {self.em_quality}")
+        if not 0 < self.em_quality < math.inf:
+            raise InvalidConfigError(f"em-quality must be positive and finite, got {self.em_quality}")
         if self.svd_k < 1:
             raise InvalidConfigError(f"k must be >= 1, got {self.svd_k}")
         if self.pca_k is not None and self.pca_k < 1:
@@ -94,6 +96,26 @@ class BenchmarkConfig:
             raise InvalidConfigError(
                 f"variance-threshold must be in (0, 1], got {self.pca_variance_threshold}"
             )
+        if self.som_width < 1 or self.som_height < 1 or self.som_width * self.som_height < 2:
+            raise InvalidConfigError(
+                f"som_width x som_height must give at least 2 nodes, "
+                f"got {self.som_width}x{self.som_height}"
+            )
+        if self.som_epochs < 1:
+            raise InvalidConfigError(f"som_epochs must be >= 1, got {self.som_epochs}")
+        if not 0.0 < self.som_lr0 <= 1.0:
+            raise InvalidConfigError(f"som_lr0 must be in (0, 1], got {self.som_lr0}")
+        if self.som_radius0 is not None and not self.som_radius0 >= 0:
+            raise InvalidConfigError(f"som_radius0 must be >= 0, got {self.som_radius0}")
+        if self.ica_nonlinearity not in NONLINEARITIES:
+            raise InvalidConfigError(
+                f"ica_nonlinearity must be one of {sorted(NONLINEARITIES)}, "
+                f"got {self.ica_nonlinearity!r}"
+            )
+        if not self.ica_tol > 0:
+            raise InvalidConfigError(f"ica_tol must be positive, got {self.ica_tol}")
+        if self.ica_max_iter < 1:
+            raise InvalidConfigError(f"ica_max_iter must be >= 1, got {self.ica_max_iter}")
 
     def to_dict(self):
         out = asdict(self)

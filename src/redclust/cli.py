@@ -124,7 +124,7 @@ def build_parser():
 def load_config_file(path):
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, encoding or a 4300+ digit int
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
@@ -137,9 +137,21 @@ def load_config_file(path):
 
 
 def _check_config_type(key, value):
-    """Reject a value the field cannot take: an int fits a float field, a bool only a bool one."""
+    """Reject a value the field cannot take.
+
+    An int fits a float field if it converts to a finite float; a bool fits
+    only a bool field.
+    """
     types = _CONFIG_TYPES[key]
-    if type(value) in types or (type(value) is int and float in types):
+    if type(value) in types:
+        return
+    if type(value) is int and float in types:
+        try:
+            float(value)
+        except OverflowError:
+            raise UsageError(
+                f"config file key {key!r} must be a finite number, got an int too large for a float"
+            ) from None
         return
     expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
     raise UsageError(f"config file key {key!r} must be {expected}, got {value!r}")

@@ -114,9 +114,12 @@ def kmeans_init(x, k, seed):
     return MixtureModel(weights=weights, means=centers, variances=variances)
 
 
-def _em_single_run(x, k, max_steps, quality, seed):
+def _em_single_run(x, k, max_steps, quality, model):
+    """EM from the initial ``model``, whose arrays it updates in place.
+
+    Draws no randomness, so equal starts give bit-identical runs.
+    """
     n, _ = x.shape
-    model = kmeans_init(x, k, seed)
     weights, means, variances = model.weights, model.means, model.variances
     global_var = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
 
@@ -161,7 +164,9 @@ def em_fit(x, k, max_runs, max_steps, quality, seed):
     (absolute) or after ``max_steps`` iterations. The returned model is the
     run with the highest final log-likelihood (lowest run index on ties)
     and carries the per-run traces plus the final mean log-likelihood per
-    example (performance-2).
+    example (performance-2). A run whose k-means start is bit-identical to
+    an earlier run's reuses that run's result instead of iterating again:
+    EM draws nothing random after its start, so the outcome is the same.
     """
     x = as_matrix(x, "data")
     n = x.shape[0]
@@ -173,20 +178,21 @@ def em_fit(x, k, max_runs, max_steps, quality, seed):
         raise InvalidConfigError(f"quality must be positive, got {quality}")
 
     run_seeds = np.random.SeedSequence(seed).generate_state(max_runs)
-    candidates = []
-    traces = []
-    all_resets = []
-    for run, run_seed in enumerate(run_seeds):
-        model, trace, resets = _em_single_run(x, k, max_steps, quality, int(run_seed))
-        candidates.append(model)
-        traces.append(trace)
-        all_resets.extend((run, step) for step in resets)
+    runs = []
+    finished = {}  # k-means start bytes -> (model, trace, resets) of the first run from it
+    for run_seed in run_seeds:
+        init = kmeans_init(x, k, int(run_seed))
+        start = b"".join(a.tobytes() for a in (init.weights, init.means, init.variances))
+        if start not in finished:
+            finished[start] = _em_single_run(x, k, max_steps, quality, init)
+        runs.append(finished[start])
 
+    traces = [list(trace) for _, trace, _ in runs]  # a repeated run gets its own list
     finals = [t[-1] for t in traces]
     best = int(np.argmax(finals))
-    model = candidates[best]
+    model = runs[best][0]
     model.traces = traces
     model.chosen_run = best
-    model.reset_events = all_resets
+    model.reset_events = [(run, step) for run, (_, _, resets) in enumerate(runs) for step in resets]
     model.mean_log_likelihood = finals[best] / n
     return model

@@ -185,6 +185,20 @@ class TestRunBenchmark:
         with pytest.raises(InvalidConfigError):
             run_benchmark(fast_config([tiny_pair], pca_k=0))
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"som_width": 0}, {"som_width": 1, "som_height": 1}, {"som_width": -2, "som_height": -1},
+         {"som_epochs": 0}, {"som_lr0": 0.0}, {"som_lr0": 1.5}, {"som_lr0": float("nan")},
+         {"som_radius0": -1.0}, {"som_radius0": float("nan")}, {"ica_tol": 0.0},
+         {"ica_tol": float("nan")}, {"ica_max_iter": 0}, {"ica_nonlinearity": "relu"},
+         {"eps": float("nan")}, {"eps": float("inf")}, {"em_quality": float("nan")},
+         {"em_quality": float("inf")}],
+    )
+    def test_reducer_and_threshold_ranges_rejected(self, tiny_pair, override):
+        config = fast_config([tiny_pair], **override)
+        with pytest.raises(InvalidConfigError, match=next(iter(override)).split("_")[0]):
+            config.validate()
+
     def test_unknown_dataset_fails_before_work(self, tmp_path):
         config = fast_config([(str(tmp_path / "missing.csv"), str(tmp_path / "missing.json"))])
         with pytest.raises((DatasetParseError, SchemaError)):

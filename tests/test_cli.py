@@ -247,6 +247,37 @@ class TestConfigPrecedence:
         assert code == 0
         assert json.loads((out / "tiny_clustering.json").read_text())["eps"] == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"som_width": 0}', '{"som_epochs": 0}', '{"som_lr0": 2}', '{"som_radius0": -1}',
+         '{"ica_tol": 0}', '{"ica_max_iter": 0}', '{"ica_nonlinearity": "relu"}',
+         '{"eps": NaN}', '{"em_quality": Infinity}', '{"eps": 1' + "0" * 400 + "}",
+         '{"eps": 1' + "0" * 5000 + "}"],
+    )
+    def test_out_of_range_config_is_usage_error(self, capsys, tiny_pair, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "never"
+        code, _, err = run(
+            ["bench", "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--reducer", "som", "--config", str(cfg), "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_nan_eps_flag_is_usage_error(self, capsys, tiny_pair, tmp_path):
+        out = tmp_path / "never"
+        code, _, err = run(
+            ["cluster", "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--eps", "nan", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert "eps" in err
+        assert not out.exists()
+
     def test_config_pca_k_zero_is_usage_error(self, capsys, tiny_pair, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"pca_k": 0}))

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import redclust.density as density
 from redclust.density import (
     _BLOCK_ROWS,
     NOISE,
@@ -13,7 +14,9 @@ from redclust.density import (
     dbscan,
     mixed_euclidean,
     pairwise_distances,
+    _key_margin,
     _squared_threshold,
+    _sweep_order,
 )
 from redclust.errors import InvalidInputError
 
@@ -314,6 +317,168 @@ class TestEpsGraph:
         finally:
             tracemalloc.stop()
         assert peak < full_matrix / 2
+
+
+def assert_matches_oracle(data, eps, min_pts, schema=None):
+    """Labels and roles of ``dbscan`` equal the oracle's on the full distance matrix."""
+    out = dbscan(data, eps=eps, min_pts=min_pts, schema=schema)
+    dist = pairwise_distances(data, schema)
+    labels = reachability_oracle(dist, eps, min_pts)
+    assert np.array_equal(out.labels, labels)
+    assert np.array_equal(out.roles, oracle_roles(dist, eps, min_pts, labels))
+
+
+def farthest_neighbour(a, t):
+    """The largest double b >= a whose key term fl((b - a)^2) stays within t."""
+    b = a + math.sqrt(t)
+    while (b - a) * (b - a) > t:
+        b = math.nextafter(b, -math.inf)
+    while (math.nextafter(b, math.inf) - a) ** 2 <= t:
+        b = math.nextafter(b, math.inf)
+    return b
+
+
+class TestSweep:
+    """The sorted sweep prunes pairs by one key column; the result must stay exact."""
+
+    @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
+    def test_pairs_exactly_at_eps_on_key(self, eps):
+        # steps of 0.25 on the key column put many pairs at exactly eps
+        x = np.column_stack([0.25 * np.arange(150), np.full(150, 3.0)])
+        for min_pts in (2, 3, 5):
+            assert_matches_oracle(x, eps, min_pts)
+
+    def test_offset_keys_at_the_window_edge(self):
+        # keys near 1e6 have a spacing of 1.2e-10, so key +/- margin rounds by
+        # far more than eps * 2^-40; each key is the last double still within
+        # eps = 1e-3 of the one before, on the edge of its window
+        eps = 1e-3
+        t = _squared_threshold(eps)
+        keys = [1e6]
+        for _ in range(120):
+            keys.append(farthest_neighbour(keys[-1], t))
+        x = np.column_stack([keys, np.zeros(len(keys))])
+        for min_pts in (2, 3):
+            assert_matches_oracle(x, eps, min_pts)
+        assert cluster_count(dbscan(x, eps=eps, min_pts=3)) == 1
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.3, 1.0])
+    def test_farthest_neighbour_pairs_are_one_cluster(self, eps):
+        # a and b straddle zero or a power of two, so b - a rounds; a window
+        # of exactly sqrt(t) around a misses b for most of these pairs
+        rng = np.random.default_rng(60)
+        t = _squared_threshold(eps)
+        for a in rng.normal(scale=eps, size=100):
+            x = np.array([[a], [farthest_neighbour(float(a), t)]])
+            out = dbscan(x, eps=eps, min_pts=2)
+            assert list(out.labels) == [0, 0]
+            assert list(out.roles) == ["core", "core"]
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e6, 1e150])
+    def test_window_holds_every_neighbour(self, scale):
+        rng = np.random.default_rng(61)
+        for a in rng.normal(scale=scale, size=50):
+            for eps in (1e-3 * scale, scale, 5e-324, 1.0):
+                t = _squared_threshold(eps)
+                b = farthest_neighbour(float(a), t)
+                margin = _key_margin(t, max(abs(a), abs(b)))
+                assert b <= a + margin  # b lies in a's window
+                assert b - margin <= a  # and a in b's
+
+    def test_duplicate_rows_and_constant_key(self):
+        rng = np.random.default_rng(62)
+        base = rng.normal(scale=2.0, size=(40, 2))
+        x = np.column_stack([np.repeat(base, 3, axis=0), np.full(120, 7.0)])
+        for eps, min_pts in [(0.5, 3), (1.0, 4), (2.0, 6)]:
+            assert_matches_oracle(x, eps, min_pts)
+        constant = np.full((90, 3), -4.5)
+        assert_matches_oracle(constant, 1.0, 5)
+        assert list(dbscan(constant, eps=1.0, min_pts=91).roles) == ["noise"] * 90
+
+    def test_all_nominal_schema_is_one_window(self):
+        rng = np.random.default_rng(63)
+        schema = DistanceSchema(kinds=("nominal",) * 3)
+        pool = ["a", "b", "c"]
+        rows = [tuple(pool[i] for i in rng.integers(3, size=3)) for _ in range(2 * _BLOCK_ROWS + 5)]
+        for eps, min_pts in [(0.5, 3), (1.0, 6), (1.5, 20)]:
+            assert_matches_oracle(rows, eps, min_pts, schema)
+        order, lo, hi = _sweep_order(np.empty((len(rows), 0)), _squared_threshold(1.0))
+        assert np.array_equal(order, np.arange(len(rows)))
+        assert set(lo.tolist()) == {0} and set(hi.tolist()) == {len(rows)}
+
+    def test_mixed_schema_with_spread_key(self):
+        rng = np.random.default_rng(64)
+        schema = DistanceSchema(kinds=("nominal", "numeric", "nominal", "numeric"))
+        rows = [
+            ("uv"[rng.integers(2)], float(rng.uniform(0, 40)), "xyz"[rng.integers(3)],
+             float(rng.normal()))
+            for _ in range(3 * _BLOCK_ROWS)
+        ]
+        for eps, min_pts in [(1.0, 2), (1.5, 4), (2.5, 6)]:
+            assert_matches_oracle(rows, eps, min_pts, schema)
+
+    def test_single_row(self):
+        assert_matches_oracle(np.array([[1e6, -3.0]]), 1e-3, 1)
+        assert_matches_oracle(np.array([[2.0]]), 1.0, 2)
+        assert_matches_oracle([("a",)], 1.0, 1, DistanceSchema(kinds=("nominal",)))
+
+    def test_best_key_is_not_column_zero(self):
+        rng = np.random.default_rng(65)
+        n = 400
+        x = np.column_stack([rng.normal(scale=0.2, size=n), rng.uniform(0, 100, size=n)])
+        order, _, _ = _sweep_order(x, _squared_threshold(1.0))
+        assert np.array_equal(order, np.argsort(x[:, 1], kind="stable"))
+        for eps, min_pts in [(1.0, 3), (2.0, 5)]:
+            assert_matches_oracle(x, eps, min_pts)
+
+    def test_spread_table_prunes_pairs(self, monkeypatch):
+        rng = np.random.default_rng(66)
+        n = 2000
+        x = np.column_stack([rng.uniform(0, 1000, size=n), rng.normal(size=n)])
+        computed = []
+        blocks = density._squared_blocks
+
+        def counting(numeric, nominal, ends):
+            for start, stop, end, sq in blocks(numeric, nominal, ends):
+                computed.append(sq.size)
+                yield start, stop, end, sq
+
+        monkeypatch.setattr(density, "_squared_blocks", counting)
+        dbscan(x, eps=1.0, min_pts=4)
+        # all rows would be n * n / 2 pairs; windows of +-1 over a spread of 1000
+        # leave well under a tenth of that
+        assert 0 < sum(computed) < n * n / 20
+
+
+class TestSweepProperties:
+    def test_sweep_matches_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def tables(draw):
+            n = draw(st.integers(1, 70))
+            n_numeric = draw(st.integers(0, 3))
+            n_nominal = draw(st.integers(0 if n_numeric else 1, 2))
+            offset = draw(st.sampled_from([0.0, -50.0, 1e6]))
+            step = draw(st.sampled_from([0.25, 0.5, 1e-3, 0.3]))
+            grid = st.integers(-8, 8).map(lambda i: offset + step * i)
+            kinds = ("numeric",) * n_numeric + ("nominal",) * n_nominal
+            rows = [
+                tuple(draw(grid) for _ in range(n_numeric))
+                + tuple(draw(st.sampled_from("ab")) for _ in range(n_nominal))
+                for _ in range(n)
+            ]
+            eps = draw(st.sampled_from([step, 2 * step, 3.5 * step, 1.0]))
+            return rows, DistanceSchema(kinds=kinds), eps, draw(st.integers(1, 6))
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(tables())
+        def check(case):
+            rows, schema, eps, min_pts = case
+            assert_matches_oracle(rows, eps, min_pts, schema)
+
+        check()
 
 
 class TestClusterCount:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import redclust.mixture as mixture
 from redclust.errors import InvalidConfigError
 from redclust.mixture import (
     MixtureModel,
@@ -126,3 +127,66 @@ class TestEmFit:
             em_fit(x, k=2, max_runs=0, max_steps=1, quality=1e-10, seed=0)
         with pytest.raises(InvalidConfigError):
             em_fit(x, k=2, max_runs=1, max_steps=1, quality=0.0, seed=0)
+
+
+def em_fit_every_run(x, k, max_runs, max_steps, quality, seed):
+    """(model, traces, chosen run, reset events) with every run iterated from its own start."""
+    run_seeds = np.random.SeedSequence(seed).generate_state(max_runs)
+    runs = [
+        mixture._em_single_run(x, k, max_steps, quality, kmeans_init(x, k, int(s)))
+        for s in run_seeds
+    ]
+    finals = [trace[-1] for _, trace, _ in runs]
+    best = int(np.argmax(finals))
+    resets = [(run, step) for run, (_, _, steps) in enumerate(runs) for step in steps]
+    return runs[best][0], [trace for _, trace, _ in runs], best, resets
+
+
+class TestDuplicateStarts:
+    """em_fit reuses a run whose k-means start repeats; results must not change."""
+
+    def assert_same_as_every_run(self, x, k, max_runs, max_steps, seed):
+        got = em_fit(x, k=k, max_runs=max_runs, max_steps=max_steps, quality=1e-10, seed=seed)
+        model, traces, best, resets = em_fit_every_run(x, k, max_runs, max_steps, 1e-10, seed)
+        for name in ("weights", "means", "variances"):
+            assert getattr(got, name).tobytes() == getattr(model, name).tobytes()
+        assert got.traces == traces
+        assert got.chosen_run == best
+        assert got.reset_events == resets
+        assert got.mean_log_likelihood == traces[best][-1] / len(x)
+        return got
+
+    def test_separated_blobs_iterate_each_start_once(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        x, _ = two_blobs(rng, n_per=60)
+        calls = []
+        single_run = mixture._em_single_run
+
+        def counting(*args):
+            calls.append(args)
+            return single_run(*args)
+
+        monkeypatch.setattr(mixture, "_em_single_run", counting)
+        got = em_fit(x, k=2, max_runs=5, max_steps=100, quality=1e-10, seed=7)
+        monkeypatch.setattr(mixture, "_em_single_run", single_run)
+        # the starts repeat, so runs tie; the first of the tied best wins, and a
+        # repeated run still gets its own trace list
+        assert len(calls) < 5
+        finals = [t[-1] for t in got.traces]
+        assert got.chosen_run == finals.index(max(finals))
+        assert len({id(t) for t in got.traces}) == 5
+        self.assert_same_as_every_run(x, 2, 5, 100, 7)
+
+    @pytest.mark.parametrize("seed", [3, 13, 21])
+    def test_distinct_and_repeated_starts(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.vstack([rng.normal(size=(40, 2)), rng.normal(size=(25, 2)) * 0.4 + [3.0, 1.0]])
+        self.assert_same_as_every_run(x, 3, 6, 60, seed)
+
+    def test_reset_events_follow_each_run(self, monkeypatch):
+        # a high degenerate-weight floor makes the small blob's component reset every step
+        monkeypatch.setattr(mixture, "_DEGENERATE_WEIGHT", 0.3)
+        rng = np.random.default_rng(52)
+        x = np.vstack([rng.normal(size=(80, 2)), rng.normal(size=(20, 2)) * 0.5 + [5.0, 0.0]])
+        got = self.assert_same_as_every_run(x, 3, 6, 40, 4)
+        assert {run for run, _ in got.reset_events} == set(range(6))
