@@ -1,19 +1,21 @@
 """Dense real matrix factorizations underlying every reducer.
 
-Matrices are plain float64 numpy arrays (rows x cols). Both factorizations
-use Jacobi rotation schemes: simple, and accurate at the desk-scale sizes
-this package targets (hundreds of rows, tens of columns). All functions are
-pure; nothing here holds state.
+Matrices are plain float64 numpy arrays (rows x cols). One one-sided
+(Hestenes) Jacobi kernel computes both factorizations: ``svd`` directly and
+``sym_eig`` on a shifted positive semidefinite copy. It is simple, and
+accurate at the desk-scale sizes this package targets (hundreds of rows,
+tens of columns). All functions are pure; nothing here holds state.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError, InvalidInputError
 
-# Rotations stop once every off-diagonal coupling falls below this, relative
-# to the matrix norm; the sweep cap is 100 * n**2.
+# Rotations stop once every column pair's coupling |w_p . w_q| falls below
+# this times ||w_p|| ||w_q||; the sweep cap is 100 * n**2.
 _REL_TOL = 1e-12
 _SWEEP_CAP_FACTOR = 100
 _POLAR_TOL = 1e-13
@@ -92,10 +94,21 @@ def _complete_orthonormal(u, start):
 
 
 def _one_sided_jacobi(a):
-    """One-sided Jacobi SVD of ``a`` with rows >= cols. Returns (u, s, v)."""
+    """One-sided Jacobi SVD of ``a`` with rows >= cols. Returns (u, s, v).
+
+    The rotations run on ``a`` times the power of two that brings its
+    largest entry into [0.5, 1). That scaling is exact and leaves every
+    rotation unchanged, but keeps the product of two squared column norms
+    from underflowing (or overflowing), which would otherwise stall the
+    stopping test on tiny-scale input. ``sq_norms`` caches each column's
+    squared norm; a rotation recomputes only the two columns it touches.
+    """
     m, n = a.shape
-    w = a.copy()
+    exponent = math.frexp(float(np.max(np.abs(a))))[1]
+    w = np.ldexp(a, -exponent)
     v = np.eye(n)
+    cols = [w[:, j] for j in range(n)]
+    sq_norms = [float(c @ c) for c in cols]
     cap = _SWEEP_CAP_FACTOR * n * n
     converged = n == 1
     for _ in range(cap):
@@ -103,30 +116,34 @@ def _one_sided_jacobi(a):
             break
         rotated = False
         for p in range(n - 1):
+            wp = cols[p]
             for q in range(p + 1, n):
-                wp = w[:, p]
-                wq = w[:, q]
-                gamma = float(wp @ wq)
-                alpha = float(wp @ wp)
-                beta = float(wq @ wq)
+                alpha = sq_norms[p]
+                beta = sq_norms[q]
                 if alpha == 0.0 or beta == 0.0:
                     continue
-                if abs(gamma) <= _REL_TOL * np.sqrt(alpha * beta):
+                wq = cols[q]
+                gamma = float(wp @ wq)
+                if abs(gamma) <= _REL_TOL * math.sqrt(alpha * beta):
                     continue
                 zeta = (beta - alpha) / (2.0 * gamma)
                 sgn = 1.0 if zeta >= 0.0 else -1.0
                 t = sgn / (abs(zeta) + np.hypot(1.0, zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
                 rot = np.array([[c, s], [-s, c]])
-                w[:, [p, q]] = w[:, [p, q]] @ rot
-                v[:, [p, q]] = v[:, [p, q]] @ rot
+                for mat in (w, v):
+                    pair = mat.take((p, q), axis=1) @ rot
+                    mat[:, p] = pair[:, 0]
+                    mat[:, q] = pair[:, 1]
+                sq_norms[p] = float(wp @ wp)
+                sq_norms[q] = float(wq @ wq)
                 rotated = True
         if not rotated:
             converged = True
     if not converged:
         raise ConvergenceError(
-            f"one-sided Jacobi SVD did not converge within the {cap}-sweep cap (100*n^2)"
+            f"one-sided Jacobi rotations did not converge within the {cap}-sweep cap (100*n^2)"
         )
 
     norms = np.sqrt(np.sum(w * w, axis=0))
@@ -147,7 +164,7 @@ def _one_sided_jacobi(a):
     if rank < n:
         s[rank:] = 0.0
         _complete_orthonormal(u, rank)
-    return u, s, v
+    return u, np.ldexp(s, exponent), v
 
 
 def svd(x):
@@ -169,7 +186,16 @@ def svd(x):
 
 
 def sym_eig(x):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by one-sided Jacobi rotations.
+
+    The Gershgorin shift sigma = max(0, max_i(sum_{j!=i} |w_ij| - w_ii)) makes
+    W + sigma*I positive semidefinite, so its singular values, from the same
+    one-sided sweep behind ``svd``, are the eigenvalues plus sigma and its
+    right singular vectors are the eigenvectors. The shift is what separates
+    +/-lambda pairs: an unshifted one-sided sweep diagonalizes W^2. An exactly
+    zero row of W (a constant column's covariance) is never rotated and keeps
+    an exactly 0.0 eigenvalue, unless sigma is so small against the largest
+    singular value that the rank cutoff zeroes it (then it reads -sigma).
 
     Returns EigenPairs with eigenvalues sorted descending and orthonormal
     column eigenvectors, each sign-fixed so its largest-magnitude entry is
@@ -180,57 +206,16 @@ def sym_eig(x):
     n = a.shape[0]
     if a.shape[1] != n:
         raise InvalidInputError(f"sym_eig input must be square, got {a.shape}")
-    anorm = frobenius(a)
-    if frobenius(a - a.T) > 1e-10 * max(1.0, anorm):
+    if frobenius(a - a.T) > 1e-10 * max(1.0, frobenius(a)):
         raise InvalidInputError("sym_eig input is not symmetric")
 
     w = (a + a.T) / 2.0
-    v = np.eye(n)
-    off_mask = ~np.eye(n, dtype=bool)
-    cap = _SWEEP_CAP_FACTOR * n * n
-    converged = False
-    for _ in range(cap):
-        off = np.sqrt(np.sum(w[off_mask] ** 2))
-        if off <= _REL_TOL * max(1.0, anorm):
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                if apq == 0.0:
-                    continue
-                app = w[p, p]
-                aqq = w[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                sgn = 1.0 if tau >= 0.0 else -1.0
-                t = sgn / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # symmetric two-sided update J^T W J touching only rows/cols p, q
-                rowp = c * w[p, :] - s * w[q, :]
-                rowq = s * w[p, :] + c * w[q, :]
-                w[p, :] = rowp
-                w[q, :] = rowq
-                w[:, p] = rowp
-                w[:, q] = rowq
-                w[p, p] = app - t * apq
-                w[q, q] = aqq + t * apq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                colp = c * v[:, p] - s * v[:, q]
-                v[:, q] = s * v[:, p] + c * v[:, q]
-                v[:, p] = colp
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi eigendecomposition did not converge within the {cap}-sweep cap (100*n^2)"
-        )
-
-    values = np.diag(w).copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
+    diag = np.diag(w)
+    off_row_sums = np.sum(np.abs(w - np.diag(diag)), axis=1)
+    shift = max(0.0, float(np.max(off_row_sums - diag)))
+    _, s, vectors = _one_sided_jacobi(w + shift * np.eye(n))
     _sign_fix_columns(vectors)
-    return EigenPairs(values=values, vectors=vectors)
+    return EigenPairs(values=s - shift, vectors=vectors)
 
 
 def center(x):

@@ -70,7 +70,9 @@ def _lloyd(x, k, rng):
     """Lloyd's k-means from seeded distinct-row centers.
 
     An emptied cluster is re-seeded at the point farthest from its assigned
-    centroid (lowest row index on ties), then iteration continues.
+    centroid (lowest row index on ties), then iteration continues. A row
+    re-seeded in one step is not picked again in that step, so several
+    emptied clusters get distinct rows.
     """
     n = x.shape[0]
     centers = x[rng.choice(n, size=k, replace=False)].copy()
@@ -78,12 +80,13 @@ def _lloyd(x, k, rng):
     for _ in range(_KMEANS_MAX_ITER):
         sq = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_assign = np.argmin(sq, axis=1)
+        dist_to_own = sq[np.arange(n), new_assign]
         for j in range(k):
             if not np.any(new_assign == j):
-                dist_to_own = sq[np.arange(n), new_assign]
                 far = int(np.argmax(dist_to_own))
                 centers[j] = x[far]
                 new_assign[far] = j
+                dist_to_own[far] = -np.inf
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

@@ -12,14 +12,13 @@ class ReducedDataset:
     """Rows mapped into a reduced coordinate space.
 
     ``k`` is the retained dimension count, ``original_dim`` the input width
-    it came from; ``source`` and ``config`` record provenance.
+    it came from; ``config`` records the reducer settings behind it.
     """
 
     data: np.ndarray  # (n, k)
     reducer: str
     k: int
     original_dim: int
-    source: str = "matrix"
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -23,6 +23,35 @@ def reconstruction_error(x, factors):
     return frobenius(x - factors.reconstruct()) / max(1.0, frobenius(x))
 
 
+def rotated_spectrum(values, seed):
+    """Q diag(values) Q^T for a random orthogonal Q."""
+    n = len(values)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    a = (q * np.asarray(values, dtype=float)) @ q.T
+    return (a + a.T) / 2.0
+
+
+def constant_column_covariance():
+    """Sample covariance of data whose column 2 is constant (exactly centred to 0)."""
+    x = np.random.default_rng(31).normal(size=(50, 4))
+    x[:, 2] = 3.0
+    centered, _ = center(x)
+    assert not centered[:, 2].any()
+    return centered.T @ centered / 49.0
+
+
+def eigh_descending(a):
+    values, vectors = np.linalg.eigh(a)
+    return values[::-1], vectors[:, ::-1]
+
+
+def assert_sign_convention(vectors):
+    """Each column's largest-magnitude entry is positive."""
+    for k in range(vectors.shape[1]):
+        j = int(np.argmax(np.abs(vectors[:, k])))
+        assert vectors[j, k] > 0, f"column {k}"
+
+
 class TestSvd:
     def test_identity(self):
         f = svd(np.eye(3))
@@ -79,6 +108,22 @@ class TestSvd:
         for k in range(3):
             j = np.argmax(np.abs(f1.v[:, k]))
             assert f1.v[j, k] > 0
+
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 4), (3, 7)])
+    def test_sign_convention(self, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        for _ in range(10):
+            assert_sign_convention(svd(rng.normal(size=shape)).v)
+
+    @pytest.mark.parametrize("scale", [2.0**-362, 2.0**300])
+    def test_power_of_two_scaling_is_exact(self, scale):
+        # 2**-362 ~ 1e-109: squared column norms multiply to below the
+        # smallest double, which must not stall the stopping test
+        x = np.random.default_rng(16).normal(size=(5, 3))
+        f, scaled = svd(x), svd(scale * x)
+        assert np.array_equal(scaled.s, scale * f.s)
+        assert np.array_equal(scaled.u, f.u)
+        assert np.array_equal(scaled.v, f.v)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -138,6 +183,91 @@ class TestSymEig:
         pairs = sym_eig(a)
         ref = np.sort(np.linalg.eigvalsh(a))[::-1]
         assert np.allclose(pairs.values, ref, atol=1e-9 * max(1.0, np.abs(ref).max()))
+
+    SEPARATED = {
+        "swap": np.array([[0.0, 1.0], [1.0, 0.0]]),
+        "plus-minus pairs": rotated_spectrum([3.0, 1.0, -1.0, -3.0], seed=1),
+        "negative definite": rotated_spectrum([-0.5, -1.0, -2.0, -4.0, -8.0], seed=2),
+        "indefinite, zero row": np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        "constant-column covariance": constant_column_covariance(),
+        "wide spread": rotated_spectrum(np.linspace(-7.0, 11.0, 12), seed=3),
+    }
+
+    @pytest.mark.parametrize("name", SEPARATED)
+    def test_vectors_match_numpy(self, name):
+        a = self.SEPARATED[name]
+        pairs = sym_eig(a)
+        ref_values, ref_vectors = eigh_descending(a)
+        scale = max(1.0, float(np.abs(ref_values).max()))
+        assert np.max(np.abs(pairs.values - ref_values)) <= 1e-12 * scale
+        for k in range(len(a)):
+            got, ref = pairs.vectors[:, k], ref_vectors[:, k]
+            assert min(frobenius(got - ref), frobenius(got + ref)) <= 1e-10, f"column {k}"
+        assert_sign_convention(pairs.vectors)
+
+    @pytest.mark.parametrize(
+        "a, zero_col",
+        [
+            (SEPARATED["indefinite, zero row"], 2),
+            (SEPARATED["constant-column covariance"], 2),
+            (np.zeros((3, 3)), 0),
+        ],
+    )
+    def test_zero_row_keeps_exact_zero_eigenvalue(self, a, zero_col):
+        pairs = sym_eig(a)
+        k = int(np.flatnonzero(pairs.values == 0.0)[0])
+        assert np.array_equal(pairs.vectors[:, k], np.eye(len(a))[:, zero_col])
+
+    def test_repeated_eigenvalues_span_numpy_eigenspaces(self):
+        spectrum = [2.0, 2.0, 2.0, 0.5, -1.0, -1.0]
+        a = rotated_spectrum(spectrum, seed=4)
+        pairs = sym_eig(a)
+        ref_values, ref_vectors = eigh_descending(a)
+        assert np.max(np.abs(pairs.values - ref_values)) <= 1e-12 * 2.0
+        assert np.max(np.abs(pairs.vectors.T @ pairs.vectors - np.eye(6))) <= 1e-12
+        for block in ([0, 1, 2], [3], [4, 5]):
+            got = pairs.vectors[:, block] @ pairs.vectors[:, block].T
+            ref = ref_vectors[:, block] @ ref_vectors[:, block].T
+            assert np.max(np.abs(got - ref)) <= 1e-10, block
+        assert_sign_convention(pairs.vectors)
+
+    @pytest.mark.parametrize("scale", [2.0**-43, 2.0**-362, 2.0**300])
+    def test_power_of_two_scaling_is_exact(self, scale):
+        # the stopping test is relative, so a 1e-13-scale matrix is
+        # diagonalized as fully as a unit-scale one
+        a = self.SEPARATED["plus-minus pairs"]
+        pairs, scaled = sym_eig(a), sym_eig(scale * a)
+        assert np.array_equal(scaled.values, scale * pairs.values)
+        assert np.array_equal(scaled.vectors, pairs.vectors)
+
+    def test_properties_on_random_symmetric(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def symmetric(draw):
+            n = draw(st.integers(1, 8))
+            entries = st.floats(-100.0, 100.0, allow_nan=False, allow_subnormal=False)
+            upper = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+            a = np.triu(upper) + np.triu(upper, 1).T
+            for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+                a[i, :] = a[:, i] = 0.0
+            return a
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(symmetric())
+        def check(a):
+            n = len(a)
+            pairs = sym_eig(a)
+            tol = 1e-12 * max(1.0, frobenius(a))
+            assert np.all(np.diff(pairs.values) <= 0.0)
+            assert np.max(np.abs(pairs.values - eigh_descending(a)[0])) <= tol
+            assert np.max(np.abs(pairs.vectors.T @ pairs.vectors - np.eye(n))) <= 1e-12
+            rebuilt = (pairs.vectors * pairs.values) @ pairs.vectors.T
+            assert np.max(np.abs(rebuilt - a)) <= 10 * tol
+            assert_sign_convention(pairs.vectors)
+
+        check()
 
     def test_nonsymmetric_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -50,6 +50,16 @@ class TestKmeansInit:
         with pytest.raises(InvalidConfigError):
             kmeans_init(np.zeros((3, 2)), k=4, seed=0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_several_emptied_clusters_reseeded_at_distinct_rows(self):
+        # three points, ten copies each: coincident starts empty two of the
+        # three clusters in one step for some seeds
+        x = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 10, axis=0)
+        for seed in range(40):
+            model = kmeans_init(x, k=3, seed=seed)
+            assert np.isfinite(model.means).all(), seed
+            assert np.all(model.weights > 0), seed
+
 
 class TestEmFit:
     def test_single_gaussian_recovered(self):
