@@ -72,7 +72,8 @@ def _lloyd(x, k, rng):
     An emptied cluster is re-seeded at the point farthest from its assigned
     centroid (lowest row index on ties), then iteration continues. A row
     re-seeded in one step is not picked again in that step, so several
-    emptied clusters get distinct rows.
+    emptied clusters get distinct rows. A cluster that stays empty, which
+    happens when the table has fewer distinct rows than k, keeps its centre.
     """
     n = x.shape[0]
     centers = x[rng.choice(n, size=k, replace=False)].copy()
@@ -91,7 +92,9 @@ def _lloyd(x, k, rng):
             break
         assign = new_assign
         for j in range(k):
-            centers[j] = x[assign == j].mean(axis=0)
+            members = assign == j
+            if members.any():
+                centers[j] = x[members].mean(axis=0)
     return centers, assign
 
 
@@ -99,7 +102,9 @@ def kmeans_init(x, k, seed):
     """Initial MixtureModel from a k-means run (the 'install distribution' step).
 
     Component means are the centroids, variances the within-cluster
-    per-dimension variances (floored), weights the cluster fractions.
+    per-dimension variances (floored), weights the cluster fractions. An
+    empty cluster is set up as EM resets a dead component: the table's
+    per-column variance (floored) and weight 1/k, before normalizing.
     """
     x = as_matrix(x, "data")
     n, d = x.shape
@@ -111,8 +116,12 @@ def kmeans_init(x, k, seed):
     variances = np.empty((k, d))
     for j in range(k):
         members = x[assign == j]
-        weights[j] = len(members) / n
-        variances[j] = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
+        if len(members):
+            weights[j] = len(members) / n
+            variances[j] = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
+        else:
+            weights[j] = 1.0 / k
+            variances[j] = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
     weights /= weights.sum()
     return MixtureModel(weights=weights, means=centers, variances=variances)
 

@@ -60,8 +60,33 @@ class TestKmeansInit:
             assert np.isfinite(model.means).all(), seed
             assert np.all(model.weights > 0), seed
 
+    @pytest.mark.filterwarnings("error")
+    def test_fewer_distinct_rows_than_k(self):
+        # two distinct rows for three clusters: one cluster stays empty
+        x = np.array([[0.0], [1.0], [1.0]])
+        for seed in range(40):
+            model = kmeans_init(x, k=3, seed=seed)
+            assert np.isfinite(model.means).all(), seed
+            assert np.isfinite(model.variances).all(), seed
+            assert np.all(model.variances >= mixture.VARIANCE_FLOOR), seed
+            assert np.all(model.weights > 0), seed
+            assert model.weights.sum() == pytest.approx(1.0, abs=1e-12), seed
+            # the occupied clusters keep their rows' centroids
+            assert {0.0, 1.0} <= set(model.means[:, 0]), seed
+
 
 class TestEmFit:
+    @pytest.mark.filterwarnings("error")
+    def test_fewer_distinct_rows_than_k(self):
+        x = np.array([[0.0]] + [[1.0]] * 5)
+        for seed in range(40):
+            model = em_fit(x, k=3, max_runs=5, max_steps=100, quality=1e-6, seed=seed)
+            assert np.isfinite(model.weights).all(), seed
+            assert np.isfinite(model.means).all(), seed
+            assert np.isfinite(model.variances).all(), seed
+            assert np.isfinite(model.mean_log_likelihood), seed
+            assert model.weights.sum() == pytest.approx(1.0, abs=1e-12), seed
+
     def test_single_gaussian_recovered(self):
         rng = np.random.default_rng(44)
         x = rng.normal(loc=2.0, scale=1.5, size=(400, 1))

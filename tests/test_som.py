@@ -4,9 +4,11 @@ import pytest
 from redclust.errors import InvalidConfigError, InvalidInputError
 from redclust.reducers import som_encode, som_fit
 from redclust.reducers.som import (
+    _CHUNK,
     LR_FLOOR,
     RADIUS_FLOOR,
     _decayed,
+    _pairwise_plan,
     quantization_error,
 )
 
@@ -56,6 +58,31 @@ class TestSomFit:
         codebook, qe_log = reference_som_fit(x, 5, 4, 12, seed=seed)
         assert np.array_equal(grid.codebook, codebook)
         assert np.array_equal(grid.qe_log, qe_log)
+
+    @pytest.mark.parametrize("n", [_CHUNK - 12, 2 * _CHUNK + 6])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 17, 18, 24, 130])
+    def test_bit_identical_for_every_summation_shape(self, dim, n):
+        # numpy sums up to 7 terms in sequence, up to 128 in 8 accumulators
+        # plus a tail, and more by halves; the grid is not square
+        rng = np.random.default_rng(dim * 100 + n)
+        x = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, size=dim)
+        if dim > 1:
+            x[:, dim // 2] = -2.25  # a constant column
+        grid = som_fit(x, width=4, height=3, epochs=3, seed=dim)
+        codebook, qe_log = reference_som_fit(x, 4, 3, 3, seed=dim)
+        assert np.array_equal(grid.codebook, codebook)
+        assert np.array_equal(grid.qe_log, qe_log)
+
+    def test_pairwise_plan_matches_numpy_row_sum(self):
+        rng = np.random.default_rng(11)
+        for count in range(1, 300):
+            terms = rng.uniform(size=(5, count)) * 10.0 ** rng.uniform(-8, 8, size=(5, count))
+            order, adds = _pairwise_plan(0, count)
+            assert sorted(order) == list(range(count))
+            buf = terms[:, order].T.copy()
+            for dst, src, rows in adds:
+                buf[dst : dst + rows] += buf[src : src + rows]
+            assert np.array_equal(buf[0], np.sum(terms, axis=1)), count
 
     def test_single_point_converges(self):
         x = np.array([[2.0, -1.0, 0.5]])
