@@ -224,14 +224,11 @@ def load_config_datasets(config):
 
 def _plot_points(coords, assignment):
     """Per-example plot records: two leading coordinates, cluster id, noise flag."""
-    if coords.shape[1] >= 2:
-        xy = coords[:, :2]
-    else:
-        xy = np.column_stack([coords[:, 0], np.zeros(coords.shape[0])])
-    return [
-        (float(x), float(y), int(label), int(label == NOISE))
-        for (x, y), label in zip(xy, assignment.labels)
-    ]
+    coords = np.asarray(coords, dtype=float)
+    xs = coords[:, 0].tolist()
+    ys = coords[:, 1].tolist() if coords.shape[1] >= 2 else [0.0] * len(xs)
+    labels = assignment.labels
+    return list(zip(xs, ys, labels.tolist(), (labels == NOISE).astype(int).tolist()))
 
 
 def _run_cell(ds, work, reducer, config, seed):

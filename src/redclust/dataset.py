@@ -9,6 +9,7 @@ id and label columns ride along for provenance and reporting.
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -177,7 +178,7 @@ def load_dataset(data_path, schema):
                         line=line_no,
                         column=col_no,
                     ) from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise DatasetParseError(
                         f"column {spec.name!r} holds non-finite value {cell!r}",
                         line=line_no,

@@ -4,6 +4,38 @@ Components carry diagonal covariances (variance floor 1e-9). Fitting runs
 several independent EM runs, each initialized by Lloyd's k-means, and keeps
 the run with the highest final log-likelihood. Everything is deterministic
 for a given seed.
+
+EM and k-means work on a (d, n) copy of the n examples (``_Columns``), with
+all k components at once as (d, k, n) or (k, d, n) arrays, so a reduction
+over the short axis of an (n, d) or (n, k) array is a few numpy calls on
+whole contiguous rows instead of one inner loop per example. Results are
+bit-identical to the row-major form, which looped over components and
+summed over d and k with ``np.sum(axis=1)`` and over n with
+``np.sum(axis=0)``, because each reduction rounds as that form did:
+
+- Sums over d (the quadratic form, k-means distances) and over k (the sum
+  of exponentials): numpy sums each short row pairwise, and
+  ``linalg._pairwise_plan`` permutes the rows so that order becomes a few
+  contiguous row adds. The terms are squares and exponentials, never -0.0,
+  so the plan's one departure from numpy cannot arise.
+- Max over k: an ``np.maximum`` chain. A maximum does not round, and log
+  densities of finite data are never NaN or -0.0.
+- Argmin over k: strict ``<`` comparisons in component order, so ties go
+  to the lowest index, as in ``np.argmin``.
+- Sums over n (component bulks, M-step numerators, variances, k-means
+  member means): numpy adds the rows of an (n, m) array in sequence, from
+  +0.0, when m > 1, and sums a single column pairwise. ``_sum_over_n``
+  does the first with ``einsum`` over a row-major copy, which adds in the
+  same sequence, and the second with contiguous row sums. Each component's
+  sums keep the width m of the array the row-major form summed.
+- Elementwise steps keep the operand order of the row-major form, such as
+  ``(r * diff) * diff``, and ``np.exp``/``np.log`` still see contiguous
+  arrays. Per-component scalars (``log(weights[j])``, the log-determinant)
+  are still taken one component at a time from the model's (k, d) arrays,
+  which stay in column order.
+
+``tests/test_mixture.py`` keeps the row-major kernels as references and
+checks the numpy summation orders relied on here.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError
-from .linalg import as_matrix
+from .linalg import _pairwise_plan, as_matrix
 
 VARIANCE_FLOOR = 1e-9
 _DEGENERATE_WEIGHT = 1e-12
@@ -35,35 +67,98 @@ class MixtureModel:
         return len(self.weights)
 
 
-def _log_density(x, weights, means, variances):
-    """Per-example, per-component log of weight * diagonal Gaussian density."""
-    n, d = x.shape
-    out = np.empty((n, len(weights)))
-    for j in range(len(weights)):
-        diff = x - means[j]
-        quad = np.sum(diff * diff / variances[j], axis=1)
-        logdet = np.sum(np.log(variances[j]))
-        out[:, j] = np.log(weights[j]) - 0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)
-    return out
+@dataclass(frozen=True)
+class _Columns:
+    """The rows of ``x`` as a (d, n) array, columns in ``_pairwise_plan`` order."""
+
+    data: np.ndarray  # (d, n): data[p] is column order[p] of x
+    order: np.ndarray
+    adds: list
+
+    @classmethod
+    def of(cls, x):
+        order, adds = _pairwise_plan(0, x.shape[1])
+        order = np.array(order, dtype=np.intp)
+        return cls(x[:, order].T.copy(), order, adds)
 
 
-def _logsumexp(a, axis):
-    peak = np.max(a, axis=axis, keepdims=True)
-    return (peak + np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))).squeeze(axis)
+def _add_rows(buf, adds):
+    """Apply a ``_pairwise_plan``'s row adds to ``buf``; return the row that holds the sums."""
+    for dst, src, rows in adds:
+        buf[dst : dst + rows] += buf[src : src + rows]
+    return buf[0]
+
+
+def _sum_over_n(t, width):
+    """Sum ``t`` over its last axis (n) as ``np.sum(axis=0)`` sums an (n, width) array.
+
+    numpy adds the rows of an (n, width) array in sequence, starting from
+    +0.0, when width > 1, and sums its one contiguous column pairwise when
+    width == 1. ``einsum`` over a row-major copy adds the rows in that same
+    sequence, at a fraction of the per-row cost of ``np.sum``.
+    """
+    if width == 1:
+        return t.sum(axis=-1)
+    rows = t.reshape(-1, t.shape[-1])
+    return np.einsum("ij->j", rows.T.copy()).reshape(t.shape[:-1])
+
+
+def _var_over_n(t, width):
+    """Variance over the last axis of (m, n) ``t``, as ``np.var(axis=0)`` of (n, width) arrays."""
+    n = t.shape[-1]
+    dev = t - (_sum_over_n(t, width) / n)[:, None]
+    dev *= dev
+    return _sum_over_n(dev, width) / n
+
+
+def _log_density(cols, weights, means, variances):
+    """(k, n) log of weight * diagonal Gaussian density, per component and example."""
+    d = len(cols.data)
+    quad = cols.data[:, None, :] - means.T[cols.order, :, None]  # (d, k, n)
+    quad *= quad
+    quad /= variances.T[cols.order, :, None]
+    quad = _add_rows(quad, cols.adds)  # (k, n)
+    # scalar logs, one per component as in the row-major form: a vector log may round differently
+    log_weights = np.array([np.log(w) for w in weights])
+    consts = np.array([d * np.log(2.0 * np.pi) + np.sum(np.log(v)) for v in variances])
+    return log_weights[:, None] - 0.5 * (consts[:, None] + quad)
+
+
+def _logsumexp(a):
+    """log(sum(exp(a))) down each column of (k, n) ``a``, stable against overflow."""
+    order, adds = _pairwise_plan(0, len(a))
+    peak = a[0].copy()
+    for row in a[1:]:
+        np.maximum(peak, row, out=peak)
+    return peak + np.log(_add_rows(np.exp(a[order] - peak), adds))
 
 
 def log_likelihood(x, model):
     """Total log-likelihood of ``x`` under the mixture."""
     x = as_matrix(x, "data")
-    return float(np.sum(_logsumexp(_log_density(x, model.weights, model.means, model.variances), axis=1)))
+    logd = _log_density(_Columns.of(x), model.weights, model.means, model.variances)
+    return float(np.sum(_logsumexp(logd)))
 
 
 def responsibilities(x, model):
     """Posterior component probabilities per example; rows sum to 1."""
     x = as_matrix(x, "data")
-    logd = _log_density(x, model.weights, model.means, model.variances)
-    logd -= _logsumexp(logd, axis=1)[:, None]
-    return np.exp(logd)
+    logd = _log_density(_Columns.of(x), model.weights, model.means, model.variances)
+    logd -= _logsumexp(logd)
+    return np.exp(logd).T.copy()
+
+
+def _nearest(cols, centers):
+    """Index of each example's nearest center (lowest on ties) and its squared distance."""
+    sq = cols.data[:, None, :] - centers.T[cols.order, :, None]  # (d, k, n)
+    sq *= sq
+    sq = _add_rows(sq, cols.adds)
+    nearest = np.zeros(sq.shape[1], dtype=np.intp)
+    best = sq[0].copy()
+    for j in range(1, len(centers)):
+        np.copyto(nearest, j, where=sq[j] < best)
+        np.minimum(best, sq[j], out=best)
+    return nearest, best
 
 
 def _lloyd(x, k, rng):
@@ -76,12 +171,11 @@ def _lloyd(x, k, rng):
     happens when the table has fewer distinct rows than k, keeps its centre.
     """
     n = x.shape[0]
+    cols = _Columns.of(x)
     centers = x[rng.choice(n, size=k, replace=False)].copy()
     assign = np.full(n, -1)
     for _ in range(_KMEANS_MAX_ITER):
-        sq = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_assign = np.argmin(sq, axis=1)
-        dist_to_own = sq[np.arange(n), new_assign]
+        new_assign, dist_to_own = _nearest(cols, centers)
         for j in range(k):
             if not np.any(new_assign == j):
                 far = int(np.argmax(dist_to_own))
@@ -94,7 +188,8 @@ def _lloyd(x, k, rng):
         for j in range(k):
             members = assign == j
             if members.any():
-                centers[j] = x[members].mean(axis=0)
+                total = _sum_over_n(cols.data[:, members], len(cols.data))
+                centers[j, cols.order] = total / np.count_nonzero(members)
     return centers, assign
 
 
@@ -112,16 +207,19 @@ def kmeans_init(x, k, seed):
         raise InvalidConfigError(f"k must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
     centers, assign = _lloyd(x, k, rng)
+    cols = _Columns.of(x)
     weights = np.empty(k)
     variances = np.empty((k, d))
     for j in range(k):
-        members = x[assign == j]
-        if len(members):
-            weights[j] = len(members) / n
-            variances[j] = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
+        members = assign == j
+        count = np.count_nonzero(members)
+        if count:
+            weights[j] = count / n
+            spread = _var_over_n(cols.data[:, members], d)
         else:
             weights[j] = 1.0 / k
-            variances[j] = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
+            spread = _var_over_n(cols.data, d)
+        variances[j, cols.order] = np.maximum(spread, VARIANCE_FLOOR)
     weights /= weights.sum()
     return MixtureModel(weights=weights, means=centers, variances=variances)
 
@@ -131,17 +229,19 @@ def _em_single_run(x, k, max_steps, quality, model):
 
     Draws no randomness, so equal starts give bit-identical runs.
     """
-    n, _ = x.shape
+    n, d = x.shape
+    cols = _Columns.of(x)
     weights, means, variances = model.weights, model.means, model.variances
-    global_var = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
+    global_var = np.empty(d)
+    global_var[cols.order] = np.maximum(_var_over_n(cols.data, d), VARIANCE_FLOOR)
 
-    logd = _log_density(x, weights, means, variances)
-    norm = _logsumexp(logd, axis=1)
+    logd = _log_density(cols, weights, means, variances)
+    norm = _logsumexp(logd)
     trace = [float(np.sum(norm))]
     resets = []
     for step in range(max_steps):
-        resp = np.exp(logd - norm[:, None])
-        bulk = resp.sum(axis=0)
+        resp = np.exp(logd - norm)
+        bulk = _sum_over_n(resp, k)
         degenerate = np.flatnonzero(bulk / n < _DEGENERATE_WEIGHT)
         if degenerate.size:
             # reset dead components at the worst-explained rows
@@ -154,15 +254,14 @@ def _em_single_run(x, k, max_steps, quality, model):
             resets.append(step)
         else:
             weights = bulk / n
-            for j in range(k):
-                r = resp[:, j][:, None]
-                means[j] = np.sum(r * x, axis=0) / bulk[j]
-                diff = x - means[j]
-                variances[j] = np.maximum(
-                    np.sum(r * diff * diff, axis=0) / bulk[j], VARIANCE_FLOOR
-                )
-        logd = _log_density(x, weights, means, variances)
-        norm = _logsumexp(logd, axis=1)
+            r = resp[:, None, :]
+            mean = _sum_over_n(r * cols.data, d) / bulk[:, None]  # (k, d)
+            diff = cols.data - mean[:, :, None]  # (k, d, n)
+            spread = _sum_over_n(r * diff * diff, d) / bulk[:, None]
+            means[:, cols.order] = mean
+            variances[:, cols.order] = np.maximum(spread, VARIANCE_FLOOR)
+        logd = _log_density(cols, weights, means, variances)
+        norm = _logsumexp(logd)
         trace.append(float(np.sum(norm)))
         if abs(trace[-1] - trace[-2]) < quality and step not in resets:
             break

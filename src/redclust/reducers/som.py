@@ -17,16 +17,12 @@ sample works on contiguous arrays of one shape:
   with each row's value repeated along the nodes; subtracting the codebook
   from a tile slice gives the differences with no broadcast. Squaring is
   elementwise, so both round as before.
-- numpy sums each row of the (nodes, dim) squares pairwise (Higham 1993):
-  below 8 terms in sequence; up to 128 terms in 8 strided accumulators,
-  then the tree ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in
-  sequence; above 128 terms as the sum of two halves split at a multiple
-  of 8. ``_pairwise_plan`` permutes the input columns so that this order
+- numpy sums each row of the (nodes, dim) squares pairwise.
+  ``linalg._pairwise_plan`` permutes the input columns so that this order
   becomes a short list of adds of contiguous rows of the (dim, nodes)
-  squares: in each 8-block the rows hold accumulators 0,4,2,6,1,5,3,7, so
-  every level of the tree adds one half of a block to the other. Each node
-  then gets the same additions in the same order as numpy's row sum.
-  Floating-point addition is commutative, so operand order does not matter.
+  squares. Each node then gets the same additions in the same order as
+  numpy's row sum. The squares are never -0.0, so the plan's one departure
+  from numpy, the sign of a sum of -0.0 terms alone, cannot arise.
 - lr * influence is tabled once per epoch as (nodes, dim, nodes), each
   BMU's row repeated along dim, so scaling the differences is one
   same-shape multiply by the product the rule forms. The table holds
@@ -47,13 +43,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidConfigError, InvalidInputError
-from ..linalg import as_matrix
+from ..linalg import _pairwise_plan, as_matrix
 from .base import ReducedDataset
 
 LR_FLOOR = 0.01
 RADIUS_FLOOR = 0.5
 _CHUNK = 32  # samples copied into the difference tile at a time
-_ACCUMULATORS = (0, 4, 2, 6, 1, 5, 3, 7)  # accumulator held by each row of an 8-block
 
 
 @dataclass
@@ -85,32 +80,6 @@ def _decayed(start, floor, epoch, epochs):
         return start
     tau = epochs / np.log(start / floor)
     return max(floor, start * np.exp(-epoch / tau))
-
-
-def _pairwise_plan(start, count):
-    """Row order and row adds that sum ``count`` terms as numpy's pairwise sum does.
-
-    Returns ``(order, adds)``. Buffer row ``start + p`` is to hold term
-    ``order[p]``, an index in start..start+count-1; then applying each
-    ``(dst, src, rows)`` in turn as ``buf[dst:dst+rows] += buf[src:src+rows]``
-    leaves in ``buf[start]`` numpy's pairwise sum of the terms in their
-    original order, rounding for rounding.
-    """
-    if count < 8:
-        return list(range(start, start + count)), [(start, start + i, 1) for i in range(1, count)]
-    if count <= 128:
-        full = count - count % 8
-        order = [start + b + k for b in range(0, full, 8) for k in _ACCUMULATORS]
-        order += range(start + full, start + count)
-        adds = [(start, start + b, 8) for b in range(8, full, 8)]  # strided accumulators
-        adds += [(start, start + 4, 4), (start, start + 2, 2), (start, start + 1, 1)]  # their tree
-        adds += [(start, start + i, 1) for i in range(full, count)]  # sequential tail
-        return order, adds
-    half = count // 2
-    half -= half % 8
-    low_order, low_adds = _pairwise_plan(start, half)
-    high_order, high_adds = _pairwise_plan(start + half, count - half)
-    return low_order + high_order, low_adds + high_adds + [(start, start + half, 1)]
 
 
 def _squared_distances(x, codebook, out):

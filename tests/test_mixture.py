@@ -3,6 +3,7 @@ import pytest
 
 import redclust.mixture as mixture
 from redclust.errors import InvalidConfigError
+from redclust.linalg import _pairwise_plan
 from redclust.mixture import (
     MixtureModel,
     em_fit,
@@ -225,3 +226,212 @@ class TestDuplicateStarts:
         x = np.vstack([rng.normal(size=(80, 2)), rng.normal(size=(20, 2)) * 0.5 + [5.0, 0.0]])
         got = self.assert_same_as_every_run(x, 3, 6, 40, 4)
         assert {run for run, _ in got.reset_events} == set(range(6))
+
+
+# Row-major reference copies of the EM and k-means kernels as they were
+# before the column-major layout; the kernels must reproduce them bit for bit.
+
+
+def reference_log_density(x, weights, means, variances):
+    n, d = x.shape
+    out = np.empty((n, len(weights)))
+    for j in range(len(weights)):
+        diff = x - means[j]
+        quad = np.sum(diff * diff / variances[j], axis=1)
+        logdet = np.sum(np.log(variances[j]))
+        out[:, j] = np.log(weights[j]) - 0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)
+    return out
+
+
+def reference_logsumexp(a, axis):
+    peak = np.max(a, axis=axis, keepdims=True)
+    return (peak + np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))).squeeze(axis)
+
+
+def reference_lloyd(x, k, rng):
+    n = x.shape[0]
+    centers = x[rng.choice(n, size=k, replace=False)].copy()
+    assign = np.full(n, -1)
+    for _ in range(mixture._KMEANS_MAX_ITER):
+        sq = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_assign = np.argmin(sq, axis=1)
+        dist_to_own = sq[np.arange(n), new_assign]
+        for j in range(k):
+            if not np.any(new_assign == j):
+                far = int(np.argmax(dist_to_own))
+                centers[j] = x[far]
+                new_assign[far] = j
+                dist_to_own[far] = -np.inf
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            members = assign == j
+            if members.any():
+                centers[j] = x[members].mean(axis=0)
+    return centers, assign
+
+
+def reference_em_single_run(x, k, max_steps, quality, model):
+    n, _ = x.shape
+    weights, means, variances = model.weights, model.means, model.variances
+    global_var = np.maximum(x.var(axis=0), mixture.VARIANCE_FLOOR)
+
+    logd = reference_log_density(x, weights, means, variances)
+    norm = reference_logsumexp(logd, axis=1)
+    trace = [float(np.sum(norm))]
+    resets = []
+    for step in range(max_steps):
+        resp = np.exp(logd - norm[:, None])
+        bulk = resp.sum(axis=0)
+        degenerate = np.flatnonzero(bulk / n < mixture._DEGENERATE_WEIGHT)
+        if degenerate.size:
+            hardness = np.argsort(norm)
+            for slot, j in enumerate(degenerate):
+                means[j] = x[hardness[slot % n]]
+                variances[j] = global_var
+                weights[j] = 1.0 / k
+            weights = weights / weights.sum()
+            resets.append(step)
+        else:
+            weights = bulk / n
+            for j in range(k):
+                r = resp[:, j][:, None]
+                means[j] = np.sum(r * x, axis=0) / bulk[j]
+                diff = x - means[j]
+                variances[j] = np.maximum(
+                    np.sum(r * diff * diff, axis=0) / bulk[j], mixture.VARIANCE_FLOOR
+                )
+        logd = reference_log_density(x, weights, means, variances)
+        norm = reference_logsumexp(logd, axis=1)
+        trace.append(float(np.sum(norm)))
+        if abs(trace[-1] - trace[-2]) < quality and step not in resets:
+            break
+    return MixtureModel(weights=weights, means=means, variances=variances), trace, resets
+
+
+def model_bytes(model):
+    return [getattr(model, name).tobytes() for name in ("weights", "means", "variances")]
+
+
+def scaled_blobs(rng, n, d, k):
+    """k blobs in d columns whose scales span six orders of magnitude."""
+    centres = rng.normal(size=(k, d)) * 4.0
+    x = centres[rng.integers(k, size=n)] + rng.normal(size=(n, d))
+    return x * 10.0 ** rng.uniform(-3, 3, size=d)
+
+
+class TestMatchesRowMajorReference:
+    """The column-major kernels give the row-major kernels' results bit for bit."""
+
+    def assert_em_fit_matches(self, monkeypatch, x, k, max_runs, max_steps, seed):
+        got = em_fit(x, k=k, max_runs=max_runs, max_steps=max_steps, quality=1e-10, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(mixture, "_lloyd", reference_lloyd)
+            patch.setattr(mixture, "_em_single_run", reference_em_single_run)
+            want = em_fit(x, k=k, max_runs=max_runs, max_steps=max_steps, quality=1e-10, seed=seed)
+        assert model_bytes(got) == model_bytes(want)
+        assert got.traces == want.traces
+        assert got.chosen_run == want.chosen_run
+        assert got.reset_events == want.reset_events
+        assert got.mean_log_likelihood == want.mean_log_likelihood
+        return got
+
+    def assert_kmeans_init_matches(self, monkeypatch, x, k, seeds):
+        for seed in seeds:
+            got = kmeans_init(x, k, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(mixture, "_lloyd", reference_lloyd)
+                want = kmeans_init(x, k, seed)
+            assert model_bytes(got) == model_bytes(want), seed
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 7, 8, 9, 18, 130])
+    @pytest.mark.parametrize("k", [1, 2, 3, 9])
+    def test_em_fit(self, monkeypatch, d, k):
+        rng = np.random.default_rng(1000 * d + k)
+        x = scaled_blobs(rng, 150, d, max(k, 2))  # above 128 rows: width-1 sums split in halves
+        self.assert_em_fit_matches(monkeypatch, x, k, 3, 25, seed=d + k)
+        self.assert_kmeans_init_matches(monkeypatch, x, k, range(3))
+
+    @pytest.mark.parametrize("d", [1, 3, 9])
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_log_likelihood_and_responsibilities(self, d, k):
+        rng = np.random.default_rng(2000 * d + k)
+        x = scaled_blobs(rng, 140, d, 3)
+        model = kmeans_init(x, k, seed=4)
+        model.weights = rng.dirichlet(np.ones(k))
+        logd = reference_log_density(x, model.weights, model.means, model.variances)
+        norm = reference_logsumexp(logd, axis=1)
+        assert log_likelihood(x, model) == float(np.sum(norm))
+        resp = responsibilities(x, model)
+        assert resp.shape == (140, k) and resp.flags.c_contiguous
+        assert resp.tobytes() == np.exp(logd - norm[:, None]).tobytes()
+
+    def test_duplicate_rows(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        x = np.repeat(scaled_blobs(rng, 12, 4, 3), rng.integers(1, 30, size=12), axis=0)
+        for k in (2, 3, 9):
+            self.assert_em_fit_matches(monkeypatch, x, k, 5, 40, seed=k)
+            self.assert_kmeans_init_matches(monkeypatch, x, k, range(10))
+
+    def test_emptied_kmeans_clusters(self, monkeypatch):
+        # coincident starts empty clusters for some seeds; [[0], [1], [1]] keeps one empty
+        x = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 10, axis=0)
+        self.assert_kmeans_init_matches(monkeypatch, x, 3, range(40))
+        self.assert_kmeans_init_matches(monkeypatch, np.array([[0.0], [1.0], [1.0]]), 3, range(40))
+        self.assert_em_fit_matches(monkeypatch, x, 3, 5, 30, seed=5)
+
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_degenerate_resets(self, monkeypatch, d):
+        monkeypatch.setattr(mixture, "_DEGENERATE_WEIGHT", 0.3)
+        rng = np.random.default_rng(62 + d)
+        x = np.vstack([rng.normal(size=(80, d)), rng.normal(size=(20, d)) * 0.5 + 5.0])
+        got = self.assert_em_fit_matches(monkeypatch, x, 3, 4, 30, seed=d)
+        assert got.reset_events
+
+    def test_nearest_ties_go_to_lowest_index(self):
+        x = np.array([[0.5], [0.0], [1.0], [0.5]])
+        cols = mixture._Columns.of(x)
+        nearest, dist = mixture._nearest(cols, np.array([[0.0], [1.0], [0.0]]))
+        assert nearest.tolist() == [0, 0, 1, 0]
+        assert dist.tolist() == [0.25, 0.0, 0.0, 0.25]
+
+
+class TestNumpySummationOrder:
+    """Canaries for the numpy summation orders the column-major kernels reproduce."""
+
+    @staticmethod
+    def terms(rng, shape):
+        return rng.uniform(-1, 1, size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 9, 40])
+    def test_axis0_sum_is_sequential_above_width_one(self, width):
+        rng = np.random.default_rng(width)
+        for n in (1, 2, 7, 8, 9, 16, 127, 128, 129, 300, 1031):
+            t = self.terms(rng, (n, width))
+            if width > 1:  # the rows are added in sequence, starting from +0.0
+                want = np.zeros(width)
+                for row in t:
+                    want += row
+            else:  # one contiguous column is summed pairwise
+                order, adds = _pairwise_plan(0, n)
+                buf = t[order].copy()
+                want = 0.0 + mixture._add_rows(buf, adds)
+            assert t.sum(axis=0).tobytes() == want.tobytes(), (n, width)
+            assert mixture._sum_over_n(t.T.copy(), width).tobytes() == want.tobytes(), (n, width)
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 9])
+    def test_blocks_sum_as_separate_arrays(self, width):
+        # one call sums k (n, width) arrays laid out as (k, width, n)
+        rng = np.random.default_rng(100 + width)
+        for n in (3, 129, 1031):
+            blocks = [self.terms(rng, (n, width)) for _ in range(4)]
+            stacked = np.stack([b.T for b in blocks])
+            want = np.stack([b.sum(axis=0) for b in blocks])
+            assert mixture._sum_over_n(stacked, width).tobytes() == want.tobytes(), (n, width)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_negative_zero_columns_sum_to_positive_zero(self, width):
+        t = np.full((5, width), -0.0)
+        assert mixture._sum_over_n(t.T.copy(), width).tobytes() == t.sum(axis=0).tobytes()
+        assert np.signbit(t.sum(axis=0)).sum() == 0

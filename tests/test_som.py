@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from redclust.errors import InvalidConfigError, InvalidInputError
+from redclust.linalg import _pairwise_plan
 from redclust.reducers import som_encode, som_fit
 from redclust.reducers.som import (
     _CHUNK,
     LR_FLOOR,
     RADIUS_FLOOR,
     _decayed,
-    _pairwise_plan,
     quantization_error,
 )
 
