@@ -30,6 +30,7 @@ from .reducers import (
     fastica_transform,
     pca_encode,
     pca_fit,
+    retained_for_threshold,
     som_encode,
     som_fit,
     svd_reduce,
@@ -409,22 +410,25 @@ def pca_threshold_sweep(datasets, config):
     """Retained PCA dimensions per dataset for each sweep threshold.
 
     Rows: (dataset, threshold, retained, reference, match). The sweep runs
-    on the same normalization variant the canonical comparison uses.
+    on the same normalization variant the canonical comparison uses. It
+    fits PCA once per table and reads every threshold's count from that
+    fit's eigenvalues, the count ``pca_fit(variance_threshold=t)`` keeps.
     """
     rows = []
     for ds in datasets:
         work = normalize(ds) if config.normalize else ds
         matrix = work.numeric_matrix()
+        eigenvalues = pca_fit(matrix, k=matrix.shape[1]).eigenvalues
         reference = REFERENCE_ATTRIBUTE_COUNTS["pca"].get(ds.name)
         for threshold in PCA_SWEEP_THRESHOLDS:
-            model = pca_fit(matrix, variance_threshold=threshold)
+            retained = retained_for_threshold(eigenvalues, threshold)
             rows.append(
                 {
                     "dataset": ds.name,
                     "threshold": threshold,
-                    "retained": model.retained,
+                    "retained": retained,
                     "reference": reference,
-                    "match": reference is not None and model.retained == reference,
+                    "match": reference is not None and retained == reference,
                 }
             )
     return rows

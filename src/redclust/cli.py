@@ -17,8 +17,8 @@ from pathlib import Path
 from .benchmark import BenchmarkConfig, fit_reducer, paired_dbscan_timing, run_full_benchmark
 from .dataset import load_dataset, normalize
 from .density import cluster_count, dbscan
-from .errors import InvalidConfigError, RedclustError
-from .model_io import save_model
+from .errors import InvalidConfigError, OutputError, RedclustError
+from .model_io import MODEL_TYPES, save_model
 from .reference import REDUCER_ORDER
 
 # config-file key -> the types its BenchmarkConfig field accepts (NoneType where Optional)
@@ -208,6 +208,16 @@ def _out_dir(args):
     return Path(args.out) if args.out else Path("redclust-out")
 
 
+def _write_outputs(out_dir, texts):
+    """Create ``out_dir`` and write each file name's text into it."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(f"cannot write output files under {out_dir}: {exc}") from exc
+
+
 def _load_work(config, pair):
     ds = load_dataset(*pair)
     return ds, normalize(ds) if config.normalize else ds
@@ -216,8 +226,8 @@ def _load_work(config, pair):
 def cmd_reduce(args):
     config = merge_config(args, _FLAG_MAP)
     reducer = args.reducer or "pca"
-    if args.save_model and reducer in ("svd", "none"):
-        raise UsageError("--save-model applies to pca, som and fastica only")
+    if args.save_model and reducer not in MODEL_TYPES:
+        raise UsageError(f"--save-model applies to {', '.join(MODEL_TYPES)} only, not {reducer}")
     pair = _dataset_pairs(args)[0]
     config.datasets = [pair]
     _validate_usage(config)
@@ -231,11 +241,10 @@ def cmd_reduce(args):
     k = reduced_data.shape[1]
 
     out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{ds.name}_{reducer}_reduced.csv"
     header = ",".join(f"c{i + 1}" for i in range(k))
     lines = [header] + [",".join(repr(v) for v in row) for row in reduced_data]
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_outputs(out_dir, {out_path.name: "\n".join(lines) + "\n"})
     if args.save_model:
         save_model(model, args.save_model)
     print(f"{ds.name}: {reducer} reduced {ds.n_regular} -> {k} attributes, wrote {out_path}")
@@ -260,13 +269,11 @@ def cmd_cluster(args):
         assignment = dbscan(reduced.data, eps=config.eps, min_pts=config.min_pts)
 
     out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["row\tcluster\trole"]
     lines += [
         f"{i}\t{label}\t{role}"
         for i, (label, role) in enumerate(zip(assignment.labels, assignment.roles))
     ]
-    (out_dir / f"{ds.name}_assignment.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     summary = {
         "dataset": ds.name,
         "reducer": reducer,
@@ -277,8 +284,12 @@ def cmd_cluster(args):
         "seed": config.seed,
         "normalized": config.normalize,
     }
-    (out_dir / f"{ds.name}_clustering.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    _write_outputs(
+        out_dir,
+        {
+            f"{ds.name}_assignment.tsv": "\n".join(lines) + "\n",
+            f"{ds.name}_clustering.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
+        },
     )
     print(
         f"{ds.name}: {cluster_count(assignment)} clusters, "

@@ -61,10 +61,6 @@ class DistanceSchema:
     def n_columns(self):
         return len(self.kinds)
 
-    @classmethod
-    def all_numeric(cls, n):
-        return cls(kinds=("numeric",) * n)
-
 
 @dataclass
 class ClusterAssignment:

@@ -1,7 +1,8 @@
 """FastICA by symmetric fixed-point iteration.
 
-Rows are centered and whitened through the eigendecomposition of the sample
-covariance, then the unmixing matrix W is driven by the approximate Newton
+Rows are centered and whitened through PCA's ``covariance_eig``, the
+eigendecomposition of the sample covariance, with each axis scaled to unit
+variance; then the unmixing matrix W is driven by the approximate Newton
 update
 
     W+ = W + diag(alpha_i) [diag(beta_i) + E{g(y) y^T}] W,   y = W x,
@@ -20,8 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateInputError, InvalidConfigError, InvalidInputError
-from ..linalg import as_matrix, center, orthogonalize, sym_eig
+from ..linalg import as_matrix, orthogonalize
+from ..linalg import sym_eig  # noqa: F401  (perfbench/layers.py traces sym_eig under this name)
 from .base import ReducedDataset
+from .pca import covariance_eig
 
 _EIGENVALUE_FLOOR = 1e-12
 
@@ -52,10 +55,7 @@ class IcaModel:
 
 
 def _whiten(x, n_components):
-    centered, mean = center(x)
-    n = x.shape[0]
-    cov = (centered.T @ centered) / (n - 1)
-    pairs = sym_eig(cov)
+    centered, mean, pairs = covariance_eig(x)
     usable = int(np.sum(pairs.values > _EIGENVALUE_FLOOR))
     if usable < n_components:
         raise DegenerateInputError(

@@ -37,13 +37,28 @@ class PcaModel:
         return self.basis.shape[0]
 
 
+def covariance_eig(x):
+    """Center the rows of ``x`` and eigendecompose their sample covariance.
+
+    Returns (centered, mean, EigenPairs), eigenvalues descending. PCA and
+    FastICA's whitening both start from this one decomposition.
+    """
+    centered, mean = center(x)
+    cov = (centered.T @ centered) / (x.shape[0] - 1)
+    return centered, mean, sym_eig(cov)
+
+
 def retained_for_threshold(eigenvalues, threshold):
-    """Smallest component count whose cumulative eigenvalue fraction >= threshold."""
+    """Smallest component count whose cumulative eigenvalue fraction >= threshold.
+
+    Capped at len(eigenvalues): the last cumulative fraction can round just
+    below a threshold of 1.0.
+    """
     total = float(np.sum(eigenvalues))
     if total <= 0.0:
         return 1
     fractions = np.cumsum(eigenvalues) / total
-    return int(np.searchsorted(fractions, threshold - 1e-12) + 1)
+    return min(int(np.searchsorted(fractions, threshold - 1e-12) + 1), len(eigenvalues))
 
 
 def pca_fit(x, k=None, variance_threshold=None):
@@ -65,13 +80,11 @@ def pca_fit(x, k=None, variance_threshold=None):
             f"variance_threshold must be in (0, 1], got {variance_threshold}"
         )
 
-    centered, mean = center(x)
-    cov = (centered.T @ centered) / (n - 1)
-    pairs = sym_eig(cov)
+    _, mean, pairs = covariance_eig(x)
     eigenvalues = np.maximum(pairs.values, 0.0)  # clamp eigen-noise below zero
 
     if k is None:
-        k = min(retained_for_threshold(eigenvalues, variance_threshold), d)
+        k = retained_for_threshold(eigenvalues, variance_threshold)
     return PcaModel(basis=pairs.vectors[:, :k].copy(), mean=mean, eigenvalues=eigenvalues)
 
 

@@ -14,7 +14,7 @@ from redclust.benchmark import (
     run_full_benchmark,
     write_comparison_files,
 )
-from redclust.dataset import load_dataset
+from redclust.dataset import load_dataset, normalize
 from redclust.errors import (
     DatasetParseError,
     InvalidConfigError,
@@ -312,6 +312,18 @@ class TestFullBenchmark:
         for r in rows:
             assert 1 <= r["retained"] <= 3
             assert r["reference"] is None  # tiny is not canonical
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_sweep_matches_per_threshold_fits(self, canonical_pairs, normalized):
+        datasets = [load_dataset(*pair) for pair in canonical_pairs]
+        rows = pca_threshold_sweep(datasets, fast_config(canonical_pairs, normalize=normalized))
+        assert len(rows) == 4 * len(datasets)
+        matrices = {
+            ds.name: (normalize(ds) if normalized else ds).numeric_matrix() for ds in datasets
+        }
+        for r in rows:
+            fitted = pca_fit(matrices[r["dataset"]], variance_threshold=r["threshold"])
+            assert r["retained"] == fitted.retained
 
 
 class TestModelIo:

@@ -50,6 +50,20 @@ class TestUsage:
         assert "--k must be >= 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["reduce", "cluster"])
+    def test_out_is_a_file(self, capsys, tiny_pair, tmp_path, command):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code, stdout, err = run(
+            [command, "--dataset", tiny_pair[0], "--schema", tiny_pair[1], "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+        assert str(out) in err
+        assert out.read_text() == ""
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             ["cluster", "--dataset", str(tmp_path / "nope.csv"),
@@ -102,14 +116,17 @@ class TestReduce:
         assert (out / "tiny_pca_reduced.csv").read_text().splitlines()[0] == "c1,c2"
         assert "3 -> 2" in stdout
 
-    def test_save_model_rejected_for_svd(self, capsys, tiny_pair, tmp_path):
+    @pytest.mark.parametrize("reducer", ["svd", "none"])
+    def test_save_model_rejected_without_model(self, capsys, tiny_pair, tmp_path, reducer):
         code, _, err = run(
             ["reduce", "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
-             "--reducer", "svd", "--save-model", str(tmp_path / "m.json")],
+             "--reducer", reducer, "--save-model", str(tmp_path / "m.json")],
             capsys,
         )
         assert code == 2
         assert "save-model" in err
+        assert reducer in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_fastica_on_wide_table(self, capsys, tmp_path):
         # 40 centred rows span 39 directions, whatever the column count

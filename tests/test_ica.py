@@ -3,6 +3,7 @@ import pytest
 
 from redclust.errors import DegenerateInputError, InvalidConfigError, InvalidInputError
 from redclust.reducers import fastica_fit, fastica_transform
+from redclust.reducers.pca import covariance_eig
 
 
 def make_sources(rng, n_samples, kinds):
@@ -102,6 +103,17 @@ class TestFasticaFit:
         whitened = (x - model.mean) @ model.whitening.T
         cov = np.cov(whitened, rowvar=False)
         assert np.max(np.abs(cov - np.eye(3))) <= 1e-6
+
+    @pytest.mark.parametrize("n_components", [3, 2])
+    def test_whitening_is_scaled_covariance_eigenvectors(self, n_components):
+        rng = np.random.default_rng(14)
+        x = rng.uniform(size=(300, 3)) @ np.diag([3.0, 1.0, 0.2]) + [5.0, -2.0, 0.0]
+        model = fastica_fit(x, n_components=n_components, seed=6)
+        _, mean, pairs = covariance_eig(x)
+        values = pairs.values[:n_components]
+        vectors = pairs.vectors[:, :n_components]
+        assert np.array_equal(model.whitening, (vectors / np.sqrt(values)).T)
+        assert np.array_equal(model.mean, mean)
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)

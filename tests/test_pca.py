@@ -4,7 +4,13 @@ import pytest
 from redclust import svd
 from redclust.errors import DegenerateInputError, InvalidConfigError, InvalidInputError
 from redclust.linalg import center, frobenius
-from redclust.reducers import pca_encode, pca_fit, pca_reconstruct, svd_reduce
+from redclust.reducers import (
+    pca_encode,
+    pca_fit,
+    pca_reconstruct,
+    retained_for_threshold,
+    svd_reduce,
+)
 
 
 class TestPcaFit:
@@ -51,6 +57,16 @@ class TestPcaFit:
             pca_fit(x, variance_threshold=1.5)
         with pytest.raises(InvalidConfigError):
             pca_fit(x, k=4)
+
+
+class TestRetainedForThreshold:
+    def test_full_threshold_capped_at_dimension(self):
+        # cumsum drops each tiny value against the leading 1.0, numpy's pairwise
+        # sum keeps them, so the last cumulative fraction lands below 1 - 1e-12
+        eigenvalues = np.array([1.0] + [1e-16] * (2**15 - 1))
+        fractions = np.cumsum(eigenvalues) / np.sum(eigenvalues)
+        assert fractions[-1] < 1.0 - 1e-12
+        assert retained_for_threshold(eigenvalues, 1.0) == len(eigenvalues)
 
 
 class TestEncodeReconstruct:
