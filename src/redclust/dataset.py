@@ -117,19 +117,45 @@ def read_schema(path):
         raise SchemaError(f"cannot read schema {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"schema {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise SchemaError(f"schema {path} must be a JSON object, found {type(raw).__name__}")
     if "name" not in raw or "columns" not in raw:
         raise SchemaError(f"schema {path} must declare 'name' and 'columns'")
-    columns = [
-        ColumnSpec(
-            name=c["name"], kind=c.get("kind", "numeric"), role=c.get("role", "regular")
+    if not isinstance(raw["name"], str):
+        raise SchemaError(f"schema {path}: 'name' must be a string, got {raw['name']!r}")
+    if not isinstance(raw["columns"], list):
+        raise SchemaError(f"schema {path}: 'columns' must be a list, got {raw['columns']!r}")
+    columns = []
+    for number, c in enumerate(raw["columns"], start=1):
+        if not isinstance(c, dict) or not isinstance(c.get("name"), str):
+            raise SchemaError(
+                f"schema {path}: column {number} must be an object with a string 'name', got {c!r}"
+            )
+        try:
+            columns.append(
+                ColumnSpec(
+                    name=c["name"], kind=c.get("kind", "numeric"), role=c.get("role", "regular")
+                )
+            )
+        except SchemaError as exc:
+            raise SchemaError(f"schema {path}: {exc}") from None
+    delimiter = raw.get("delimiter", ",")
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise SchemaError(
+            f"schema {path}: 'delimiter' must be a 1-character string, got {delimiter!r}"
         )
-        for c in raw["columns"]
-    ]
+    expected = raw.get("expected_rows")
+    if expected is not None and (
+        isinstance(expected, bool) or not isinstance(expected, int) or expected < 0
+    ):
+        raise SchemaError(
+            f"schema {path}: 'expected_rows' must be a non-negative integer, got {expected!r}"
+        )
     return {
         "name": raw["name"],
         "columns": columns,
-        "delimiter": raw.get("delimiter", ","),
-        "expected_rows": raw.get("expected_rows"),
+        "delimiter": delimiter,
+        "expected_rows": expected,
     }
 
 

@@ -22,9 +22,17 @@ ids, border ties and roles do not depend on the sort.
 
 DBSCAN never materialises a float n x n matrix. It accumulates squared
 distances for a fixed block of rows at a time, each pair once, and keeps
-only the boolean eps-graph, one byte per pair: 9 MB at 3000 rows, where
-one float distance matrix takes 72 MB. ``pairwise_distances`` fills its
-full float matrix from the same blocks, so both follow one distance rule.
+only the eps-graph, packed one bit per pair: row i holds its neighbours in
+ceil(n/8) bytes, 1.1 MB at 3000 rows, where one float distance matrix
+takes 72 MB. ``pairwise_distances`` fills its full float matrix from the
+same blocks, so both follow one distance rule.
+
+A table of exactly one numeric column and no nominal ones needs no graph.
+There q is fl(fl(a - b)^2), and rounding is monotone, so with the rows
+sorted by key each row's eps-neighbours under the same ``q <= t`` test form
+one contiguous run of the sorted rows. Counts, clusters and border
+assignments follow from the run ends alone (``_run_clusters``), in O(n)
+memory.
 """
 
 import math
@@ -40,7 +48,8 @@ NUMERIC = "numeric"
 NOMINAL = "nominal"
 
 # rows of squared distances held at once; 32, 64 and 128 rows time alike
-# on 3000 rows, 256 is slower
+# on 3000 rows, 256 is slower. Keep it a multiple of 8: every block then
+# starts on a byte boundary of the packed eps-graph.
 _BLOCK_ROWS = 64
 
 _ROLES = ("noise", "border", "core")
@@ -246,6 +255,116 @@ def _sweep_order(numeric, t):
     return order, lo, hi
 
 
+def _graph_clusters(numeric, nominal, t, min_pts, lo, hi, rank):
+    """Labels and core flags, in key order, from the packed eps-graph.
+
+    ``numeric`` and ``nominal`` are in key order with windows ``lo:hi``;
+    ``rank`` maps original rows to key order. Bit j % 8 (most significant
+    first) of ``within[i, j // 8]`` says whether rows i and j are
+    eps-neighbours; pairs outside every block's window stay 0.
+    """
+    n = numeric.shape[0]
+    within = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    counts = np.zeros(n, dtype=np.intp)
+    near = np.empty(min(n, _BLOCK_ROWS) * n, dtype=bool)
+    for start, stop, end, sq in _squared_blocks(numeric, nominal, hi):
+        block = near[:sq.size].reshape(sq.shape)
+        np.less_equal(sq, t, out=block)
+        below = block[:, stop - start:]
+        # start is a multiple of 8, so the block's bits begin at byte start // 8;
+        # packing the mirror along axis 0 reads ``below`` row by row
+        within[start:stop, start // 8:(end + 7) // 8] = np.packbits(block, axis=1)
+        within[stop:end, start // 8:(stop + 7) // 8] = np.packbits(below, axis=0).T
+        counts[start:stop] += np.count_nonzero(block, axis=1)
+        counts[stop:end] += np.count_nonzero(below, axis=0)
+    is_core = counts >= min_pts
+
+    # expand in key order, seeding from core rows in the original row order;
+    # whole-array steps only, no Python object per row
+    labels = np.full(n, NOISE, dtype=int)
+    free = np.ones(n, dtype=bool)  # rows no cluster has claimed yet
+    pending = rank[is_core[rank]]
+    cluster = 0
+    while pending.size:
+        frontier = pending[:1]
+        free[frontier] = False
+        labels[frontier] = cluster
+        while frontier.size:
+            # frontier is ascending, so its rows' windows lie within a:b
+            a, b = lo[frontier[0]], hi[frontier[-1]]
+            packed = np.bitwise_or.reduce(within[frontier, a // 8:(b + 7) // 8], axis=0)
+            reached = np.unpackbits(packed)[a % 8:a % 8 + b - a].view(bool)
+            reached &= free[a:b]
+            claimed = np.flatnonzero(reached)
+            claimed += a
+            free[claimed] = False
+            labels[claimed] = cluster
+            frontier = claimed[is_core[claimed]]
+        cluster += 1
+        pending = pending[free[pending]]
+    return labels, is_core
+
+
+def _run_clusters(key, t, min_pts, order, hi):
+    """Labels and core flags, in key order, of one sorted numeric column.
+
+    ``key`` is the column in ascending order, ``order`` its original row
+    indices and ``hi`` its windows' ends. fl(x - y) is monotone in x and in
+    -y, so row i's eps-neighbours are one run L[i]:R[i] of the sorted rows,
+    and R is non-decreasing. R comes from bisection between i and hi[i],
+    with the same ``q <= t`` test as the graph; by symmetry j < i lies in
+    i's run exactly when i lies in j's, so L[i] is the first j with
+    R[j] > i. The count is R - L. Two lemmas give the rest:
+
+    - cores on one side of a row, all within eps of it, are mutually
+      within eps (for c <= c' <= x, fl(x - c) bounds fl(c' - c)), so a
+      border row reaches at most two clusters, through its nearest core on
+      each side that lies in its run;
+    - consecutive cores decide connectivity: rows between two neighbours
+      are neighbours of each, so cores c < c' are density-connected exactly
+      when every consecutive pair between them is joined, that is when
+      each next core lies in the run of the one before.
+
+    Cluster ids follow each component's smallest original row, the order
+    in which the graph expansion seeds them, and a border row takes the
+    smaller id of its two candidates, as in the graph expansion.
+    """
+    n = key.size
+    inside, outside = np.arange(n), hi.copy()  # inside neighbours i, outside does not
+    while (outside - inside > 1).any():
+        mid = (inside + outside) // 2  # equals inside once a row is settled
+        d = key - key[mid]
+        d *= d
+        near = d <= t
+        inside = np.where(near, mid, inside)
+        outside = np.where(near, outside, mid)
+    run_end = outside
+    run_start = np.searchsorted(run_end, np.arange(n), side="right")
+    is_core = run_end - run_start >= min_pts
+
+    labels = np.full(n, NOISE, dtype=int)
+    cores = np.flatnonzero(is_core)
+    if cores.size:
+        first = np.ones(cores.size, dtype=bool)  # a core that starts a cluster
+        first[1:] = cores[1:] >= run_end[cores[:-1]]
+        component = np.cumsum(first) - 1
+        smallest_row = np.minimum.reduceat(order[cores], np.flatnonzero(first))
+        cluster_of = np.empty(smallest_row.size, dtype=int)
+        cluster_of[np.argsort(smallest_row)] = np.arange(smallest_row.size)
+        labels[cores] = cluster_of[component]
+
+        rows = np.flatnonzero(~is_core)
+        after = np.searchsorted(cores, rows)  # each row's next core
+        left = cores[np.maximum(after - 1, 0)]
+        right = cores[np.minimum(after, cores.size - 1)]
+        # n exceeds every cluster id and stands for "no core on this side"
+        from_left = np.where((after > 0) & (left >= run_start[rows]), labels[left], n)
+        from_right = np.where((after < cores.size) & (right < run_end[rows]), labels[right], n)
+        best = np.minimum(from_left, from_right)
+        labels[rows] = np.where(best < n, best, NOISE)
+    return labels, is_core
+
+
 def dbscan(data, eps, min_pts, schema=None):
     """Classic DBSCAN. Returns a ClusterAssignment.
 
@@ -263,45 +382,16 @@ def dbscan(data, eps, min_pts, schema=None):
     if n == 0:
         raise InvalidInputError("dbscan needs at least one example")
 
-    # the eps-graph over the rows in key order, block by block; pairs
-    # outside every block's window stay False
     t = _squared_threshold(eps)
     order, lo, hi = _sweep_order(numeric, t)
-    within = np.zeros((n, n), dtype=bool)
-    counts = np.zeros(n, dtype=np.intp)
-    for start, stop, end, sq in _squared_blocks(numeric[order], nominal[order], hi):
-        block = within[start:stop, start:end]
-        np.less_equal(sq, t, out=block)
-        below = block[:, stop - start:]
-        within[stop:end, start:stop] = below.T
-        counts[start:stop] += np.count_nonzero(block, axis=1)
-        counts[stop:end] += np.count_nonzero(below, axis=0)
-    is_core = counts >= min_pts
-
-    # expand in key order, seeding from core rows in the original row order;
-    # whole-array steps only, no Python object per row
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    labels = np.full(n, NOISE, dtype=int)
-    free = np.ones(n, dtype=bool)  # rows no cluster has claimed yet
-    pending = rank[is_core[rank]]
-    cluster = 0
-    while pending.size:
-        frontier = pending[:1]
-        free[frontier] = False
-        labels[frontier] = cluster
-        while frontier.size:
-            # frontier is ascending, so its rows' windows lie within a:b
-            a, b = lo[frontier[0]], hi[frontier[-1]]
-            reached = within[frontier, a:b].any(axis=0)
-            reached &= free[a:b]
-            claimed = np.flatnonzero(reached)
-            claimed += a
-            free[claimed] = False
-            labels[claimed] = cluster
-            frontier = claimed[is_core[claimed]]
-        cluster += 1
-        pending = pending[free[pending]]
+    if numeric.shape[1] == 1 and not nominal.shape[1]:
+        labels, is_core = _run_clusters(numeric[order, 0], t, min_pts, order, hi)
+    else:
+        labels, is_core = _graph_clusters(
+            numeric[order], nominal[order], t, min_pts, lo, hi, rank
+        )
     labels, is_core = labels[rank], is_core[rank]
 
     role = np.where(is_core, 2, (labels != NOISE).astype(np.intp))

@@ -73,6 +73,19 @@ class TestUsage:
         assert code != 0
         assert "no such file" in err
 
+    def test_malformed_schema_is_one_error_line(self, capsys, tiny_pair, tmp_path):
+        schema = tmp_path / "s.json"
+        schema.write_text(json.dumps({"name": "tiny", "columns": 5}))
+        code, stdout, err = run(
+            ["cluster", "--dataset", tiny_pair[0], "--schema", str(schema),
+             "--out", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+        assert str(schema) in err and "'columns'" in err
+
 
 class TestReduce:
     def test_writes_reduced_file(self, capsys, tiny_pair, tmp_path):

@@ -126,11 +126,38 @@ class TestLoadDataset:
         with pytest.raises(DatasetParseError):
             load_dataset(tmp_path / "nope.csv", s)
 
-    def test_schema_validation(self, tmp_path):
+    @pytest.mark.parametrize(
+        "schema, field",
+        [
+            ({"columns": []}, "'name'"),
+            (5, "JSON object"),
+            ({"name": 5, "columns": [{"name": "a"}]}, "'name'"),
+            ({"name": "s", "columns": 5}, "'columns'"),
+            ({"name": "s", "columns": ["a", "b"]}, "column 1"),
+            ({"name": "s", "columns": [{"name": "a"}, {"kind": "numeric"}]}, "column 2"),
+            ({"name": "s", "columns": [{"name": "a", "kind": "weird"}]}, "unknown kind"),
+            ({"name": "s", "columns": [{"name": "a"}], "delimiter": ";;"}, "'delimiter'"),
+            ({"name": "s", "columns": [{"name": "a"}], "delimiter": 1}, "'delimiter'"),
+            ({"name": "s", "columns": [{"name": "a"}], "expected_rows": "2"}, "'expected_rows'"),
+            ({"name": "s", "columns": [{"name": "a"}], "expected_rows": True}, "'expected_rows'"),
+            ({"name": "s", "columns": [{"name": "a"}], "expected_rows": 1.5}, "'expected_rows'"),
+            ({"name": "s", "columns": [{"name": "a"}], "expected_rows": -1}, "'expected_rows'"),
+        ],
+        ids=[
+            "no-name", "not-an-object", "name-not-a-string", "columns-not-a-list",
+            "column-not-an-object", "column-without-name", "unknown-kind", "long-delimiter",
+            "delimiter-not-a-string", "expected-rows-string", "expected-rows-bool",
+            "expected-rows-float", "expected-rows-negative",
+        ],
+    )
+    def test_schema_validation(self, tmp_path, schema, field):
         s = tmp_path / "s.json"
-        s.write_text(json.dumps({"columns": []}))
-        with pytest.raises(SchemaError):
+        s.write_text(json.dumps(schema))
+        with pytest.raises(SchemaError) as info:
             read_schema(s)
+        assert str(s) in str(info.value) and field in str(info.value)
+
+    def test_column_spec_validation(self):
         with pytest.raises(SchemaError):
             ColumnSpec(name="a", kind="weird")
         with pytest.raises(SchemaError):

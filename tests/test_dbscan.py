@@ -262,7 +262,14 @@ class TestEpsGraph:
         assert np.array_equal(out.labels, labels)
         assert np.array_equal(out.roles, oracle_roles(dist, eps, min_pts, labels))
 
-    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS // 2, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 17])
+    # 7 and 9 rows fill part of a byte of the packed graph; 65 and 8 * 64 + 3
+    # end on a partial byte after several blocks, and their frontier windows
+    # start mid-byte
+    @pytest.mark.parametrize(
+        "n",
+        [1, 7, 9, _BLOCK_ROWS // 2, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 17,
+         8 * _BLOCK_ROWS + 3],
+    )
     def test_block_boundaries_match_oracle(self, n):
         rng = np.random.default_rng(n)
         x = rng.normal(scale=1.5, size=(n, 3))
@@ -317,6 +324,19 @@ class TestEpsGraph:
         finally:
             tracemalloc.stop()
         assert peak < full_matrix / 2
+
+    def test_peak_memory_below_half_a_byte_per_pair(self):
+        # the eps-graph is packed one bit per pair; a byte per pair alone
+        # would take n * n = 4 MB here
+        n = 2000
+        x = np.random.default_rng(43).normal(size=(n, 3))
+        tracemalloc.start()
+        try:
+            dbscan(x, eps=0.5, min_pts=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n / 2
 
 
 def assert_matches_oracle(data, eps, min_pts, schema=None):
@@ -477,6 +497,84 @@ class TestSweepProperties:
         def check(case):
             rows, schema, eps, min_pts = case
             assert_matches_oracle(rows, eps, min_pts, schema)
+
+        check()
+
+
+def offset_chain(start, eps, length):
+    """Keys from ``start``, each the farthest double still within eps of the one before."""
+    t = _squared_threshold(eps)
+    keys = [start]
+    for _ in range(length - 1):
+        keys.append(farthest_neighbour(keys[-1], t))
+    return np.array(keys)
+
+
+class TestOneColumn:
+    """One numeric column and no nominal one: neighbourhoods are runs of the sorted keys."""
+
+    @pytest.mark.parametrize(
+        "keys, eps",
+        [
+            (0.25 * np.arange(60), 0.25),  # pairs exactly at eps
+            (0.25 * np.arange(60), 0.5),
+            (np.repeat([0.0, 1.0, 1.5, 4.0, 4.5, 9.0], [3, 1, 4, 2, 5, 1]), 0.5),  # duplicates
+            (offset_chain(1e6, 1e-3, 80), 1e-3),  # keys spaced 1.2e-10 apart
+            (offset_chain(-2.5e-3, 1e-3, 8), 1e-3),  # keys straddling 0
+            (np.array([7.0]), 1.0),
+        ],
+    )
+    def test_runs_match_oracle(self, keys, eps):
+        x = np.random.default_rng(70).permutation(keys)[:, None]
+        for min_pts in (1, 2, 3, 5, 7):
+            assert_matches_oracle(x, eps, min_pts)
+
+    @pytest.mark.parametrize("left_first", [True, False])
+    def test_border_between_two_clusters_takes_smaller_id(self, left_first):
+        # 1.0 lies exactly eps from the cores 0.0 and 2.0, which are 2 eps apart
+        left, right = [-1.0, -1.0, -1.0, 0.0], [2.0, 3.0, 3.0, 3.0]
+        keys = (left + right if left_first else right + left) + [1.0]
+        x = np.array(keys)[:, None]
+        out = dbscan(x, eps=1.0, min_pts=4)
+        assert out.roles[-1] == "border"
+        assert out.labels[-1] == 0
+        assert cluster_count(out) == 2
+        assert_matches_oracle(x, 1.0, 4)
+
+    def test_builds_no_graph(self, monkeypatch):
+        blocks = []
+
+        def spy(numeric, nominal, ends):
+            blocks.append(numeric.shape)
+            return squared_blocks(numeric, nominal, ends)
+
+        squared_blocks = density._squared_blocks
+        monkeypatch.setattr(density, "_squared_blocks", spy)
+        rows = [(float(v), "ab"[i % 2]) for i, v in enumerate(np.linspace(0.0, 10.0, 40))]
+        dbscan(np.array([[r[0]] for r in rows]), eps=1.0, min_pts=3)
+        assert blocks == []
+        schema = DistanceSchema(kinds=("numeric", "nominal"))
+        dbscan(rows, eps=1.0, min_pts=3, schema=schema)
+        assert blocks == [(40, 1)]
+
+    def test_runs_match_oracle_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def columns(draw):
+            offset = draw(st.sampled_from([0.0, -0.75, 1e6]))
+            step = draw(st.sampled_from([0.25, 0.5, 1e-3, 0.3]))
+            keys = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=80))
+            eps = draw(st.sampled_from([step, 2 * step, 3.5 * step, 1.0]))
+            x = np.array([[offset + step * k] for k in keys])
+            return x, eps, draw(st.integers(1, 7))
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(columns())
+        def check(case):
+            x, eps, min_pts = case
+            assert_matches_oracle(x, eps, min_pts)
 
         check()
 
