@@ -14,10 +14,11 @@ import typing
 from dataclasses import fields
 from pathlib import Path
 
-from .benchmark import BenchmarkConfig, fit_reducer, paired_dbscan_timing, run_full_benchmark
+from .benchmark import BenchmarkConfig, _delimited, fit_reducer, paired_dbscan_timing
+from .benchmark import run_full_benchmark, write_texts
 from .dataset import load_dataset, normalize
 from .density import cluster_count, dbscan
-from .errors import InvalidConfigError, OutputError, RedclustError
+from .errors import InvalidConfigError, RedclustError
 from .model_io import MODEL_TYPES, save_model
 from .reference import REDUCER_ORDER
 
@@ -66,9 +67,13 @@ def build_parser():
     def add_reducer_flags(p):
         p.add_argument(
             "--reducer",
+            action="append",
             choices=REDUCER_ORDER,
             default=None,
-            help="reduction technique (default: pca for reduce, none for cluster)",
+            help=(
+                "reduction technique (default: pca for reduce, none for cluster); "
+                "bench takes it repeatedly and runs every reducer by default"
+            ),
         )
         p.add_argument(
             "--k", type=int, default=None, help="retained dimensions for both svd and pca"
@@ -208,14 +213,13 @@ def _out_dir(args):
     return Path(args.out) if args.out else Path("redclust-out")
 
 
-def _write_outputs(out_dir, texts):
-    """Create ``out_dir`` and write each file name's text into it."""
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in texts.items():
-            (out_dir / name).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise OutputError(f"cannot write output files under {out_dir}: {exc}") from exc
+def _one_reducer(args, default):
+    """The single --reducer that reduce and cluster take, or ``default``."""
+    if args.reducer is None:
+        return default
+    if len(args.reducer) > 1:
+        raise UsageError(f"{args.command} takes one --reducer, got {len(args.reducer)}")
+    return args.reducer[0]
 
 
 def _load_work(config, pair):
@@ -225,7 +229,7 @@ def _load_work(config, pair):
 
 def cmd_reduce(args):
     config = merge_config(args, _FLAG_MAP)
-    reducer = args.reducer or "pca"
+    reducer = _one_reducer(args, "pca")
     if args.save_model and reducer not in MODEL_TYPES:
         raise UsageError(f"--save-model applies to {', '.join(MODEL_TYPES)} only, not {reducer}")
     pair = _dataset_pairs(args)[0]
@@ -242,9 +246,8 @@ def cmd_reduce(args):
 
     out_dir = _out_dir(args)
     out_path = out_dir / f"{ds.name}_{reducer}_reduced.csv"
-    header = ",".join(f"c{i + 1}" for i in range(k))
-    lines = [header] + [",".join(repr(v) for v in row) for row in reduced_data]
-    _write_outputs(out_dir, {out_path.name: "\n".join(lines) + "\n"})
+    rows = [[f"c{i + 1}" for i in range(k)]] + reduced_data.tolist()
+    write_texts(out_dir, {out_path.name: _delimited(rows, sep=",")})
     if args.save_model:
         save_model(model, args.save_model)
     print(f"{ds.name}: {reducer} reduced {ds.n_regular} -> {k} attributes, wrote {out_path}")
@@ -253,7 +256,7 @@ def cmd_reduce(args):
 
 def cmd_cluster(args):
     config = merge_config(args, _FLAG_MAP)
-    reducer = args.reducer or "none"
+    reducer = _one_reducer(args, "none")
     pair = _dataset_pairs(args)[0]
     config.datasets = [pair]
     _validate_usage(config)
@@ -268,12 +271,8 @@ def cmd_cluster(args):
         _, reduced = fit_reducer(reducer, work.numeric_matrix(), config, config.seed)
         assignment = dbscan(reduced.data, eps=config.eps, min_pts=config.min_pts)
 
-    out_dir = _out_dir(args)
-    lines = ["row\tcluster\trole"]
-    lines += [
-        f"{i}\t{label}\t{role}"
-        for i, (label, role) in enumerate(zip(assignment.labels, assignment.roles))
-    ]
+    rows = [["row", "cluster", "role"]]
+    rows += zip(range(assignment.n_examples), assignment.labels.tolist(), assignment.roles.tolist())
     summary = {
         "dataset": ds.name,
         "reducer": reducer,
@@ -284,10 +283,10 @@ def cmd_cluster(args):
         "seed": config.seed,
         "normalized": config.normalize,
     }
-    _write_outputs(
-        out_dir,
+    write_texts(
+        _out_dir(args),
         {
-            f"{ds.name}_assignment.tsv": "\n".join(lines) + "\n",
+            f"{ds.name}_assignment.tsv": _delimited(rows),
             f"{ds.name}_clustering.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
         },
     )
@@ -301,7 +300,7 @@ def cmd_cluster(args):
 def cmd_bench(args):
     config = merge_config(args, _FLAG_MAP)
     if args.reducer is not None:
-        config.reducers = (args.reducer,)
+        config.reducers = tuple(r for r in REDUCER_ORDER if r in args.reducer)
     config.datasets = _dataset_pairs(args)
     _validate_usage(config)
     out_dir = _out_dir(args)

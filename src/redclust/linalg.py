@@ -138,11 +138,11 @@ def _one_sided_jacobi(a):
     """One-sided Jacobi SVD of ``a`` with rows >= cols. Returns (u, s, v).
 
     The rotations run on ``a`` times the power of two that brings its
-    largest entry into [0.5, 1). That scaling is exact and leaves every
-    rotation unchanged, but keeps the product of two squared column norms
-    from underflowing (or overflowing), which would otherwise stall the
-    stopping test on tiny-scale input. ``sq_norms`` caches each column's
-    squared norm; a rotation recomputes only the two columns it touches.
+    largest entry into [0.5, 1), which is exact and changes no rotation.
+    The stopping test scales |gamma| by sqrt(alpha) * sqrt(beta): for two
+    columns far below the largest, alpha * beta underflows to 0 and the
+    sweep would never stop. ``sq_norms`` caches each column's squared
+    norm; a rotation recomputes only the two columns it touches.
     """
     m, n = a.shape
     exponent = math.frexp(float(np.max(np.abs(a))))[1]
@@ -165,7 +165,7 @@ def _one_sided_jacobi(a):
                     continue
                 wq = cols[q]
                 gamma = float(wp @ wq)
-                if abs(gamma) <= _REL_TOL * math.sqrt(alpha * beta):
+                if abs(gamma) <= _REL_TOL * math.sqrt(alpha) * math.sqrt(beta):
                     continue
                 zeta = (beta - alpha) / (2.0 * gamma)
                 sgn = 1.0 if zeta >= 0.0 else -1.0

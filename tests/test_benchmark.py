@@ -274,6 +274,7 @@ class TestEmitReport:
         assert len(lines) == 6  # header + reducer labels with no data columns
         payload = json.loads((out / "report.json").read_text())
         assert any("empty" in w for w in payload["warnings"])
+        assert (out / "points").is_dir()
 
 
 class TestFullBenchmark:

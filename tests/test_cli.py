@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from redclust.benchmark import BenchmarkConfig, fit_reducer
 from redclust.cli import main
+from redclust.dataset import load_dataset, normalize
 from redclust.model_io import load_model
 
 
@@ -50,7 +52,7 @@ class TestUsage:
         assert "--k must be >= 1" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["reduce", "cluster"])
+    @pytest.mark.parametrize("command", ["reduce", "cluster", "bench"])
     def test_out_is_a_file(self, capsys, tiny_pair, tmp_path, command):
         out = tmp_path / "taken"
         out.write_text("")
@@ -63,6 +65,32 @@ class TestUsage:
         assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
         assert str(out) in err
         assert out.read_text() == ""
+
+    def test_blocked_output_file_is_one_error_line(self, capsys, tiny_pair, tmp_path):
+        out = tmp_path / "bench"
+        blocked = out / "attribute_comparison.tsv"
+        blocked.mkdir(parents=True)
+        code, stdout, err = run(
+            ["bench", "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--reducer", "svd", "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+        assert str(blocked) in err
+
+    @pytest.mark.parametrize("command", ["reduce", "cluster"])
+    def test_repeated_reducer_rejected(self, capsys, tiny_pair, tmp_path, command):
+        out = tmp_path / "never"
+        code, _, err = run(
+            [command, "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--reducer", "svd", "--reducer", "pca", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "--reducer" in err
+        assert not out.exists()
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
@@ -102,6 +130,22 @@ class TestReduce:
         assert lines[0] == "c1"
         assert len(lines) == 61
         assert "8 -> 1" in stdout or "3 -> 1" in stdout
+
+    def test_csv_cells_are_the_reduced_floats(self, capsys, tiny_pair, tmp_path):
+        out = tmp_path / "red"
+        code, _, _ = run(
+            ["reduce", "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--reducer", "pca", "--k", "2", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        rows = (out / "tiny_pca_reduced.csv").read_text().splitlines()[1:]
+        written = np.array([[float(v) for v in row.split(",")] for row in rows])
+        config = BenchmarkConfig(pca_k=2)
+        matrix = normalize(load_dataset(*tiny_pair)).numeric_matrix()
+        expected = fit_reducer("pca", matrix, config, config.seed)[1].data
+        assert written.shape == expected.shape
+        assert written.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
 
     def test_save_model_roundtrip(self, capsys, tiny_pair, tmp_path):
         out = tmp_path / "red"
@@ -349,6 +393,20 @@ class TestBench:
         report = json.loads((out / "normalized" / "report.json").read_text())
         assert [c["reducer"] for c in report["cells"]] == ["pca"]
         assert "normalized: 1 cells" in stdout
+
+    def test_repeated_reducer_runs_each_once_in_grid_order(self, capsys, tiny_pair, tmp_path):
+        out = tmp_path / "bench"
+        code, stdout, _ = run(
+            ["bench", "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--reducer", "none", "--reducer", "svd", "--reducer", "pca", "--reducer", "svd",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        for variant in ("normalized", "raw"):
+            report = json.loads((out / variant / "report.json").read_text())
+            assert [c["reducer"] for c in report["cells"]] == ["svd", "pca", "none"]
+        assert "normalized: 3 cells" in stdout
 
     def test_k_sets_pca_dimensions(self, capsys, tiny_pair, tmp_path):
         out = tmp_path / "bench"

@@ -40,6 +40,14 @@ def constant_column_covariance():
     return centered.T @ centered / 49.0
 
 
+# Columns far below the largest one: the product of two squared column
+# norms underflows to 0, which must not stall the Jacobi stopping test.
+TINY_COLUMNS_SYMMETRIC = np.array(
+    [[0.0, 6.36177169e-166, 6.22764388e-82], [6.36177169e-166, 0.0, 0.0], [6.22764388e-82, 0.0, 1.0]]
+)
+TINY_COLUMNS = np.array([[1.0, 0.0, 0.0], [0.0, 1e-90, 1e-90], [0.0, 0.0, 1e-90]])
+
+
 def eigh_descending(a):
     values, vectors = np.linalg.eigh(a)
     return values[::-1], vectors[:, ::-1]
@@ -256,6 +264,7 @@ class TestSymEig:
 
         @hypothesis.settings(max_examples=200, deadline=None)
         @hypothesis.given(symmetric())
+        @hypothesis.example(TINY_COLUMNS_SYMMETRIC)
         def check(a):
             n = len(a)
             pairs = sym_eig(a)
@@ -268,6 +277,16 @@ class TestSymEig:
             assert_sign_convention(pairs.vectors)
 
         check()
+
+    def test_columns_far_below_the_largest_converge(self):
+        a = TINY_COLUMNS_SYMMETRIC
+        pairs = sym_eig(a)
+        assert np.max(np.abs(pairs.values - eigh_descending(a)[0])) <= 1e-12
+        assert np.max(np.abs(pairs.vectors.T @ pairs.vectors - np.eye(3))) <= 1e-12
+        f = svd(TINY_COLUMNS)
+        assert reconstruction_error(TINY_COLUMNS, f) <= 1e-12
+        assert np.max(np.abs(f.u.T @ f.u - np.eye(3))) <= 1e-12
+        assert np.max(np.abs(f.v.T @ f.v - np.eye(3))) <= 1e-12
 
     def test_nonsymmetric_rejected(self):
         with pytest.raises(InvalidInputError):
