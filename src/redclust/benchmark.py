@@ -69,7 +69,6 @@ class BenchmarkConfig:
     som_width: int = 10
     som_height: int = 10
     som_epochs: int = 100
-    som_lr0: float = 0.5
     som_radius0: float | None = None  # fit-time default: max(width, height) / 2
     ica_nonlinearity: str = "tanh"
     ica_tol: float = 1e-6
@@ -104,10 +103,8 @@ class BenchmarkConfig:
             )
         if self.som_epochs < 1:
             raise InvalidConfigError(f"som_epochs must be >= 1, got {self.som_epochs}")
-        if not 0.0 < self.som_lr0 <= 1.0:
-            raise InvalidConfigError(f"som_lr0 must be in (0, 1], got {self.som_lr0}")
-        if self.som_radius0 is not None and not self.som_radius0 >= 0:
-            raise InvalidConfigError(f"som_radius0 must be >= 0, got {self.som_radius0}")
+        if self.som_radius0 is not None and not 0 <= self.som_radius0 < math.inf:
+            raise InvalidConfigError(f"som_radius0 must be finite and >= 0, got {self.som_radius0}")
         if self.ica_nonlinearity not in NONLINEARITIES:
             raise InvalidConfigError(
                 f"ica_nonlinearity must be one of {sorted(NONLINEARITIES)}, "
@@ -189,7 +186,6 @@ def fit_reducer(name, matrix, config, seed):
             width=config.som_width,
             height=config.som_height,
             epochs=config.som_epochs,
-            lr0=config.som_lr0,
             radius0=config.som_radius0,
             seed=seed,
         )

@@ -4,9 +4,7 @@ Matrices are plain float64 numpy arrays (rows x cols). One one-sided
 (Hestenes) Jacobi kernel computes both factorizations: ``svd`` directly and
 ``sym_eig`` on a shifted positive semidefinite copy. It is simple, and
 accurate at the desk-scale sizes this package targets (hundreds of rows,
-tens of columns). ``_pairwise_plan`` lays numpy's row sums out as whole-row
-adds for the SOM and mixture kernels. All functions are pure; nothing here
-holds state.
+tens of columns). All functions are pure; nothing here holds state.
 """
 
 import math
@@ -22,7 +20,6 @@ _REL_TOL = 1e-12
 _SWEEP_CAP_FACTOR = 100
 _POLAR_TOL = 1e-13
 _POLAR_STEPS = 60
-_ACCUMULATORS = (0, 4, 2, 6, 1, 5, 3, 7)  # accumulator held by each row of an 8-block
 
 
 def as_matrix(x, name="matrix"):
@@ -37,44 +34,6 @@ def as_matrix(x, name="matrix"):
 
 def frobenius(a):
     return float(np.sqrt(np.sum(np.asarray(a, dtype=float) ** 2)))
-
-
-def _pairwise_plan(start, count):
-    """Row order and row adds that sum ``count`` terms as numpy's pairwise sum does.
-
-    Returns ``(order, adds)``. Buffer row ``start + p`` is to hold term
-    ``order[p]``, an index in start..start+count-1; then applying each
-    ``(dst, src, rows)`` in turn as ``buf[dst:dst+rows] += buf[src:src+rows]``
-    leaves in ``buf[start]`` numpy's pairwise sum of the terms in their
-    original order, rounding for rounding. With the terms of many sums laid
-    out along the rows, ``np.sum(a, axis=1)`` of an (n, count) array becomes
-    a few contiguous row adds over its (count, n) transpose.
-
-    numpy sums a contiguous run pairwise (Higham 1993): below 8 terms in
-    sequence; up to 128 terms in 8 strided accumulators, then the tree
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in sequence; above
-    128 terms as the sum of two halves split at a multiple of 8. In each
-    8-block the rows hold accumulators 0,4,2,6,1,5,3,7, so every level of
-    the tree adds one half of a block to the other; addition is
-    commutative, so operand order does not matter. numpy starts the sum
-    from +0.0, so only a sum of nothing but -0.0 terms differs in sign
-    (numpy +0.0, the plan -0.0).
-    """
-    if count < 8:
-        return list(range(start, start + count)), [(start, start + i, 1) for i in range(1, count)]
-    if count <= 128:
-        full = count - count % 8
-        order = [start + b + k for b in range(0, full, 8) for k in _ACCUMULATORS]
-        order += range(start + full, start + count)
-        adds = [(start, start + b, 8) for b in range(8, full, 8)]  # strided accumulators
-        adds += [(start, start + 4, 4), (start, start + 2, 2), (start, start + 1, 1)]  # their tree
-        adds += [(start, start + i, 1) for i in range(full, count)]  # sequential tail
-        return order, adds
-    half = count // 2
-    half -= half % 8
-    low_order, low_adds = _pairwise_plan(start, half)
-    high_order, high_adds = _pairwise_plan(start + half, count - half)
-    return low_order + high_order, low_adds + high_adds + [(start, start + half, 1)]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ summed over d and k with ``np.sum(axis=1)`` and over n with
 
 - Sums over d (the quadratic form, k-means distances) and over k (the sum
   of exponentials): numpy sums each short row pairwise, and
-  ``linalg._pairwise_plan`` permutes the rows so that order becomes a few
+  ``_pairwise_plan`` permutes the rows so that order becomes a few
   contiguous row adds. The terms are squares and exponentials, never -0.0,
   so the plan's one departure from numpy cannot arise.
 - Max over k: an ``np.maximum`` chain. A maximum does not round, and log
@@ -43,11 +43,50 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError
-from .linalg import _pairwise_plan, as_matrix
+from .linalg import as_matrix
 
 VARIANCE_FLOOR = 1e-9
 _DEGENERATE_WEIGHT = 1e-12
 _KMEANS_MAX_ITER = 100
+_ACCUMULATORS = (0, 4, 2, 6, 1, 5, 3, 7)  # accumulator held by each row of an 8-block
+
+
+def _pairwise_plan(start, count):
+    """Row order and row adds that sum ``count`` terms as numpy's pairwise sum does.
+
+    Returns ``(order, adds)``. Buffer row ``start + p`` is to hold term
+    ``order[p]``, an index in start..start+count-1; then applying each
+    ``(dst, src, rows)`` in turn as ``buf[dst:dst+rows] += buf[src:src+rows]``
+    leaves in ``buf[start]`` numpy's pairwise sum of the terms in their
+    original order, rounding for rounding. With the terms of many sums laid
+    out along the rows, ``np.sum(a, axis=1)`` of an (n, count) array becomes
+    a few contiguous row adds over its (count, n) transpose.
+
+    numpy sums a contiguous run pairwise (Higham 1993): below 8 terms in
+    sequence; up to 128 terms in 8 strided accumulators, then the tree
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in sequence; above
+    128 terms as the sum of two halves split at a multiple of 8. In each
+    8-block the rows hold accumulators 0,4,2,6,1,5,3,7, so every level of
+    the tree adds one half of a block to the other; addition is
+    commutative, so operand order does not matter. numpy starts the sum
+    from +0.0, so only a sum of nothing but -0.0 terms differs in sign
+    (numpy +0.0, the plan -0.0).
+    """
+    if count < 8:
+        return list(range(start, start + count)), [(start, start + i, 1) for i in range(1, count)]
+    if count <= 128:
+        full = count - count % 8
+        order = [start + b + k for b in range(0, full, 8) for k in _ACCUMULATORS]
+        order += range(start + full, start + count)
+        adds = [(start, start + b, 8) for b in range(8, full, 8)]  # strided accumulators
+        adds += [(start, start + 4, 4), (start, start + 2, 2), (start, start + 1, 1)]  # their tree
+        adds += [(start, start + i, 1) for i in range(full, count)]  # sequential tail
+        return order, adds
+    half = count // 2
+    half -= half % 8
+    low_order, low_adds = _pairwise_plan(start, half)
+    high_order, high_adds = _pairwise_plan(start + half, count - half)
+    return low_order + high_order, low_adds + high_adds + [(start, start + half, 1)]
 
 
 @dataclass
@@ -285,7 +324,7 @@ def em_fit(x, k, max_runs, max_steps, quality, seed):
         raise InvalidConfigError(f"k must be in [1, {n}], got {k}")
     if max_runs < 1 or max_steps < 1:
         raise InvalidConfigError("max_runs and max_steps must be >= 1")
-    if quality <= 0:
+    if not quality > 0:
         raise InvalidConfigError(f"quality must be positive, got {quality}")
 
     run_seeds = np.random.SeedSequence(seed).generate_state(max_runs)

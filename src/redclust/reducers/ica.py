@@ -95,7 +95,7 @@ def fastica_fit(
         raise InvalidConfigError(
             f"nonlinearity must be one of {sorted(NONLINEARITIES)}, got {nonlinearity!r}"
         )
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidConfigError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise InvalidConfigError(f"max_iter must be >= 1, got {max_iter}")

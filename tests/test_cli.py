@@ -339,6 +339,8 @@ class TestConfigPrecedence:
         )
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+        if "som_lr0" in text:  # the batch map has no learning rate: an unknown key, named
+            assert "unknown config file keys: ['som_lr0']" in err
         assert not out.exists()
 
     def test_nan_eps_flag_is_usage_error(self, capsys, tiny_pair, tmp_path):

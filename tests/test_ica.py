@@ -150,6 +150,8 @@ class TestFasticaFit:
             fastica_fit(x, nonlinearity="gauss")
         with pytest.raises(InvalidConfigError):
             fastica_fit(x, tol=0.0)
+        with pytest.raises(InvalidConfigError, match="tol"):
+            fastica_fit(x, tol=float("nan"))  # NaN compares false: it ran to max_iter
         with pytest.raises(InvalidConfigError):
             fastica_fit(x, max_iter=0)
         with pytest.raises(DegenerateInputError):

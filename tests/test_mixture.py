@@ -3,9 +3,9 @@ import pytest
 
 import redclust.mixture as mixture
 from redclust.errors import InvalidConfigError
-from redclust.linalg import _pairwise_plan
 from redclust.mixture import (
     MixtureModel,
+    _pairwise_plan,
     em_fit,
     kmeans_init,
     log_likelihood,
@@ -163,6 +163,11 @@ class TestEmFit:
             em_fit(x, k=2, max_runs=0, max_steps=1, quality=1e-10, seed=0)
         with pytest.raises(InvalidConfigError):
             em_fit(x, k=2, max_runs=1, max_steps=1, quality=0.0, seed=0)
+
+    def test_nan_quality_rejected(self):
+        # NaN compares false, so no step would ever count as converged
+        with pytest.raises(InvalidConfigError, match="quality"):
+            em_fit(np.zeros((5, 2)), k=2, max_runs=1, max_steps=3, quality=float("nan"), seed=0)
 
 
 def em_fit_every_run(x, k, max_runs, max_steps, quality, seed):
@@ -403,6 +408,17 @@ class TestNumpySummationOrder:
     @staticmethod
     def terms(rng, shape):
         return rng.uniform(-1, 1, size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+    def test_pairwise_plan_matches_numpy_row_sum(self):
+        rng = np.random.default_rng(11)
+        for count in range(1, 300):
+            terms = rng.uniform(size=(5, count)) * 10.0 ** rng.uniform(-8, 8, size=(5, count))
+            order, adds = _pairwise_plan(0, count)
+            assert sorted(order) == list(range(count))
+            buf = terms[:, order].T.copy()
+            for dst, src, rows in adds:
+                buf[dst : dst + rows] += buf[src : src + rows]
+            assert np.array_equal(buf[0], np.sum(terms, axis=1)), count
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5, 9, 40])
     def test_axis0_sum_is_sequential_above_width_one(self, width):

@@ -1,16 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from redclust.errors import InvalidConfigError, InvalidInputError
-from redclust.linalg import _pairwise_plan
 from redclust.reducers import som_encode, som_fit
-from redclust.reducers.som import (
-    _CHUNK,
-    LR_FLOOR,
-    RADIUS_FLOOR,
-    _decayed,
-    quantization_error,
-)
+from redclust.reducers.som import RADIUS_FLOOR, _decayed, quantization_error
 
 
 def two_clouds(rng, n_per=30, sep=10.0):
@@ -19,70 +14,102 @@ def two_clouds(rng, n_per=30, sep=10.0):
     return np.vstack([a, b]), np.zeros(2), np.array([sep, 0.0])
 
 
-def reference_som_fit(x, width, height, epochs, lr0=0.5, seed=0):
-    """The sequential rule evaluated per sample; som_fit must match it bit for bit."""
-    radius0 = max(width, height) / 2.0
-    rng = np.random.default_rng(seed)
-    n, dim = x.shape
+def initial_codebook(x, nodes, seed):
+    """som_fit's seeded start: uniform over each column's range, widened by 0.5 if constant."""
     lo = x.min(axis=0)
     hi = x.max(axis=0)
     flat = hi - lo == 0.0
     lo = np.where(flat, lo - 0.5, lo)
     hi = np.where(flat, hi + 0.5, hi)
-    codebook = rng.uniform(size=(width * height, dim)) * (hi - lo) + lo
-    coords = np.column_stack(
-        [np.arange(width * height) % width, np.arange(width * height) // width]
-    ).astype(float)
+    return np.random.default_rng(seed).uniform(size=(nodes, x.shape[1])) * (hi - lo) + lo
+
+
+def reference_som_fit(x, width, height, epochs, seed=0):
+    """The batch map in plain loops: each node becomes the h-weighted mean of all rows."""
+    radius0 = max(width, height) / 2.0
+    nodes = width * height
+    codebook = initial_codebook(x, nodes, seed)
+    coords = [(j % width, j // width) for j in range(nodes)]
     qe_log = [quantization_error(codebook, x)]
     for epoch in range(epochs):
-        lr = _decayed(lr0, LR_FLOOR, epoch, epochs)
-        radius = max(_decayed(radius0, RADIUS_FLOOR, epoch, epochs), RADIUS_FLOOR)
-        denom = 2.0 * radius * radius
-        for i in rng.permutation(n):
-            diff = x[i] - codebook
-            bmu = int(np.argmin(np.sum(diff * diff, axis=1)))
-            gd = coords - coords[bmu]
-            influence = np.exp(-np.sum(gd * gd, axis=1) / denom)
-            codebook += lr * influence[:, None] * diff
+        radius = _decayed(radius0, RADIUS_FLOOR, epoch, epochs)
+        bmus = [int(np.argmin(np.sum((row - codebook) ** 2, axis=1))) for row in x]
+        updated = codebook.copy()
+        for j in range(nodes):
+            total = np.zeros(x.shape[1])
+            weight = 0.0
+            for row, b in zip(x, bmus):
+                grid_sq = (coords[b][0] - coords[j][0]) ** 2 + (coords[b][1] - coords[j][1]) ** 2
+                h = np.exp(-grid_sq / (2.0 * radius * radius))
+                total += h * row
+                weight += h
+            if weight >= np.finfo(float).tiny:
+                updated[j] = total / weight
+        codebook = updated
         qe_log.append(quantization_error(codebook, x))
     return codebook, qe_log
 
 
 class TestSomFit:
     @pytest.mark.parametrize("seed", [3, 29])
-    def test_bit_identical_to_per_sample_rule(self, seed):
+    def test_matches_loop_batch_map(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(80, 5))
         x[:, 2] = 1.5  # a constant column
         grid = som_fit(x, width=5, height=4, epochs=12, seed=seed)
         codebook, qe_log = reference_som_fit(x, 5, 4, 12, seed=seed)
-        assert np.array_equal(grid.codebook, codebook)
-        assert np.array_equal(grid.qe_log, qe_log)
+        np.testing.assert_allclose(grid.codebook, codebook, rtol=1e-12, atol=1e-12 * np.abs(x).max())
+        np.testing.assert_allclose(grid.qe_log, qe_log, rtol=1e-12)
+        assert grid.qe_log[0] == qe_log[0]  # the same seeded start
 
-    @pytest.mark.parametrize("n", [_CHUNK - 12, 2 * _CHUNK + 6])
+    @pytest.mark.parametrize("n", [20, 70])
     @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 17, 18, 24, 130])
-    def test_bit_identical_for_every_summation_shape(self, dim, n):
-        # numpy sums up to 7 terms in sequence, up to 128 in 8 accumulators
-        # plus a tail, and more by halves; the grid is not square
+    def test_matches_loop_batch_map_for_every_shape(self, dim, n):
+        # one column, more columns than rows, a grid that is not square. Column
+        # scales stay within 0.1..10: a column of scale 1e-3 next to a constant
+        # column's start spread of 1 puts every row on one BMU, every node then
+        # becomes the same mean, and BMU ties among them fall to rounding
         rng = np.random.default_rng(dim * 100 + n)
-        x = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, size=dim)
+        x = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-1, 1, size=dim)
         if dim > 1:
             x[:, dim // 2] = -2.25  # a constant column
         grid = som_fit(x, width=4, height=3, epochs=3, seed=dim)
         codebook, qe_log = reference_som_fit(x, 4, 3, 3, seed=dim)
-        assert np.array_equal(grid.codebook, codebook)
-        assert np.array_equal(grid.qe_log, qe_log)
+        np.testing.assert_allclose(grid.codebook, codebook, rtol=1e-12, atol=1e-12 * np.abs(x).max())
+        # the error takes square roots of expanded squares |x|^2 - 2 x.c + |c|^2,
+        # which cancel: codebooks 1e-15 apart give errors 1e-12 apart
+        np.testing.assert_allclose(grid.qe_log, qe_log, rtol=1e-9)
 
-    def test_pairwise_plan_matches_numpy_row_sum(self):
-        rng = np.random.default_rng(11)
-        for count in range(1, 300):
-            terms = rng.uniform(size=(5, count)) * 10.0 ** rng.uniform(-8, 8, size=(5, count))
-            order, adds = _pairwise_plan(0, count)
-            assert sorted(order) == list(range(count))
-            buf = terms[:, order].T.copy()
-            for dst, src, rows in adds:
-                buf[dst : dst + rows] += buf[src : src + rows]
-            assert np.array_equal(buf[0], np.sum(terms, axis=1)), count
+    @pytest.mark.parametrize("width, height", [(10, 10), (7, 3), (12, 1)])
+    def test_prototypes_stay_in_column_range(self, width, height):
+        # each prototype is a weighted mean of the rows, so it lies in their
+        # column-wise [min, max] up to rounding
+        rng = np.random.default_rng(width * height)
+        x = rng.normal(size=(60, 6)) * 10.0 ** rng.uniform(-4, 4, size=6)
+        x[:, 3] = -7.25  # a constant column: the start lies outside its range
+        lo, hi = x.min(axis=0), x.max(axis=0)
+        slack = 4 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+        for epochs in (1, 2, 25):
+            codebook = som_fit(x, width=width, height=height, epochs=epochs, seed=epochs).codebook
+            assert np.all(codebook >= lo - slack) and np.all(codebook <= hi + slack), epochs
+
+    def test_nodes_out_of_reach_keep_their_prototype(self):
+        # at the 0.5 radius floor h = exp(-2 d^2) is 0 from d = 20 and
+        # subnormal at d = 19, so a node 19 or more grid steps from both BMUs
+        # has no weight to divide by
+        x = np.array([[0.0, 1.0, -4.0], [3.0, -2.0, -4.0]])
+        start = initial_codebook(x, 80, seed=4)
+        bmus = np.array([int(np.argmin(np.sum((row - start) ** 2, axis=1))) for row in x])
+        reach = np.abs(np.arange(80)[:, None] - bmus[None, :]).min(axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = som_fit(x, width=80, height=1, epochs=1, radius0=0.0, seed=4)
+        kept = reach >= 19
+        assert 0 < np.count_nonzero(kept) < 80
+        assert np.array_equal(grid.codebook[kept], start[kept])
+        moved = grid.codebook[~kept]
+        slack = 4 * np.finfo(float).eps * np.abs(x).max()
+        assert np.all(moved >= x.min(axis=0) - slack) and np.all(moved <= x.max(axis=0) + slack)
 
     def test_single_point_converges(self):
         x = np.array([[2.0, -1.0, 0.5]])
@@ -125,9 +152,21 @@ class TestSomFit:
         with pytest.raises(InvalidConfigError):
             som_fit(x, width=2, height=1, epochs=0)
         with pytest.raises(InvalidConfigError):
-            som_fit(x, width=2, height=1, lr0=0.0)
-        with pytest.raises(InvalidConfigError):
             som_fit(x, width=2, height=1, radius0=-1.0)
+
+    @pytest.mark.parametrize(
+        "grid", [{"width": -1, "height": -3}, {"width": 0, "height": 5}, {"width": 3, "height": -2}]
+    )
+    def test_non_positive_grid_side_rejected(self, grid):
+        # -1 x -3 multiplies out to 3 nodes, which would encode to negative coordinates
+        with pytest.raises(InvalidConfigError, match="grid"):
+            som_fit(np.zeros((3, 2)), **grid)
+
+    @pytest.mark.parametrize("radius0", [float("nan"), float("inf")])
+    def test_non_finite_radius_rejected(self, radius0):
+        # NaN used to train silently at the radius floor; inf divided 0 by 0
+        with pytest.raises(InvalidConfigError, match="radius0"):
+            som_fit(np.zeros((3, 2)), width=2, height=1, radius0=radius0)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
