@@ -82,6 +82,8 @@ class BenchmarkConfig:
             raise InvalidConfigError(f"unknown reducers {unknown}; valid: {list(REDUCER_ORDER)}")
         if not 0 < self.eps < math.inf:
             raise InvalidConfigError(f"eps must be positive and finite, got {self.eps}")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         if self.min_pts < 1:
             raise InvalidConfigError(f"minpts must be >= 1, got {self.min_pts}")
         if self.em_k < 1 or self.em_runs < 1 or self.em_steps < 1:

@@ -395,10 +395,9 @@ def dbscan(data, eps, min_pts, schema=None):
     labels, is_core = labels[rank], is_core[rank]
 
     role = np.where(is_core, 2, (labels != NOISE).astype(np.intp))
-    # a str array as wide as the longest role present, like np.array(names)
-    width = max(len(_ROLES[r]) for r in np.flatnonzero(np.bincount(role)).tolist())
-    roles = np.array(_ROLES, dtype=f"<U{width}")[role]
-    return ClusterAssignment(labels=labels, roles=roles, eps=float(eps), min_pts=int(min_pts))
+    return ClusterAssignment(
+        labels=labels, roles=np.array(_ROLES)[role], eps=float(eps), min_pts=int(min_pts)
+    )
 
 
 def cluster_count(assignment):

@@ -1,6 +1,6 @@
 """Shared output type for all four reducers."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,14 +12,13 @@ class ReducedDataset:
     """Rows mapped into a reduced coordinate space.
 
     ``k`` is the retained dimension count, ``original_dim`` the input width
-    it came from; ``config`` records the reducer settings behind it.
+    it came from.
     """
 
     data: np.ndarray  # (n, k)
     reducer: str
     k: int
     original_dim: int
-    config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -33,7 +32,3 @@ class ReducedDataset:
             raise InvalidInputError(
                 f"retained dimension {self.k} exceeds original dimension {self.original_dim}"
             )
-
-    @property
-    def n_rows(self):
-        return self.data.shape[0]

@@ -151,5 +151,4 @@ def fastica_transform(model, x):
         reducer="fastica",
         k=model.n_components,
         original_dim=model.original_dim,
-        config={"nonlinearity": model.nonlinearity},
     )

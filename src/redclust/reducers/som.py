@@ -152,5 +152,4 @@ def som_encode(grid, x):
         reducer="som",
         k=2,
         original_dim=max(x.shape[1], 2),
-        config={"width": grid.width, "height": grid.height},
     )

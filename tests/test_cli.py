@@ -92,6 +92,23 @@ class TestUsage:
         assert err.startswith("error: ") and "--reducer" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["reduce", "cluster", "bench"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_one_usage_line(self, capsys, tiny_pair, tmp_path, command, source):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -5}))
+        seed_args = ["--seed", "-5"] if source == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "never"
+        code, stdout, err = run(
+            [command, "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--reducer", "som", *seed_args, "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: seed must be >= 0, got -5\n"
+        assert not out.exists()
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             ["cluster", "--dataset", str(tmp_path / "nope.csv"),

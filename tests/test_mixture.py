@@ -5,7 +5,6 @@ import redclust.mixture as mixture
 from redclust.errors import InvalidConfigError
 from redclust.mixture import (
     MixtureModel,
-    _pairwise_plan,
     em_fit,
     kmeans_init,
     log_likelihood,
@@ -170,6 +169,50 @@ class TestEmFit:
             em_fit(np.zeros((5, 2)), k=2, max_runs=1, max_steps=3, quality=float("nan"), seed=0)
 
 
+class TestEmProperties:
+    """Fits stay well formed on awkward tables; this guards the kernels' numerics."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_fit_is_well_formed(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def cases(draw):
+            d = draw(st.integers(1, 4))
+            scales = 10.0 ** np.array(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+            n_distinct = draw(st.integers(1, 12))
+            grid = st.integers(-6, 6)
+            distinct = np.array(
+                [[draw(grid) for _ in range(d)] for _ in range(n_distinct)], dtype=float
+            )
+            if draw(st.booleans()):
+                distinct[:, 0] = draw(grid)  # a constant column
+            repeats = draw(st.lists(st.integers(1, 5), min_size=n_distinct, max_size=n_distinct))
+            x = np.repeat(distinct * scales, repeats, axis=0)  # duplicate rows
+            k = min(draw(st.sampled_from([1, 2, 3, len(x)])), len(x))  # n == k included
+            return x, k, draw(st.integers(0, 2**32 - 1))
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            x, k, seed = case
+            model = em_fit(x, k=k, max_runs=3, max_steps=30, quality=1e-10, seed=seed)
+            for name in ("weights", "means", "variances"):
+                assert np.isfinite(getattr(model, name)).all(), name
+            assert np.isfinite(model.mean_log_likelihood)
+            assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(model.variances >= mixture.VARIANCE_FLOOR)
+            resets = set(model.reset_events)
+            for run, trace in enumerate(model.traces):
+                assert np.isfinite(trace).all(), run
+                for step, (before, after) in enumerate(zip(trace, trace[1:])):
+                    if (run, step) not in resets:  # a reset may lower the likelihood
+                        assert after >= before - 1e-9 * (1.0 + abs(before)), (run, step)
+
+        check()
+
+
 def em_fit_every_run(x, k, max_runs, max_steps, quality, seed):
     """(model, traces, chosen run, reset events) with every run iterated from its own start."""
     run_seeds = np.random.SeedSequence(seed).generate_state(max_runs)
@@ -234,7 +277,9 @@ class TestDuplicateStarts:
 
 
 # Row-major reference copies of the EM and k-means kernels as they were
-# before the column-major layout; the kernels must reproduce them bit for bit.
+# before the column-major layout. The kernels reduce along other axes, so
+# they round differently; they must match the references to a relative 1e-9
+# and take the same steps, resets and best run.
 
 
 def reference_log_density(x, weights, means, variances):
@@ -315,8 +360,14 @@ def reference_em_single_run(x, k, max_steps, quality, model):
     return MixtureModel(weights=weights, means=means, variances=variances), trace, resets
 
 
-def model_bytes(model):
-    return [getattr(model, name).tobytes() for name in ("weights", "means", "variances")]
+RTOL = 1e-9
+
+
+def assert_models_close(got, want, err_msg=""):
+    for name in ("weights", "means", "variances"):
+        np.testing.assert_allclose(
+            getattr(got, name), getattr(want, name), rtol=RTOL, atol=0, err_msg=err_msg
+        )
 
 
 def scaled_blobs(rng, n, d, k):
@@ -327,7 +378,7 @@ def scaled_blobs(rng, n, d, k):
 
 
 class TestMatchesRowMajorReference:
-    """The column-major kernels give the row-major kernels' results bit for bit."""
+    """The column-major kernels give the row-major kernels' results to a relative 1e-9."""
 
     def assert_em_fit_matches(self, monkeypatch, x, k, max_runs, max_steps, seed):
         got = em_fit(x, k=k, max_runs=max_runs, max_steps=max_steps, quality=1e-10, seed=seed)
@@ -335,11 +386,13 @@ class TestMatchesRowMajorReference:
             patch.setattr(mixture, "_lloyd", reference_lloyd)
             patch.setattr(mixture, "_em_single_run", reference_em_single_run)
             want = em_fit(x, k=k, max_runs=max_runs, max_steps=max_steps, quality=1e-10, seed=seed)
-        assert model_bytes(got) == model_bytes(want)
-        assert got.traces == want.traces
+        assert_models_close(got, want)
+        assert [len(t) for t in got.traces] == [len(t) for t in want.traces]
+        for got_trace, want_trace in zip(got.traces, want.traces):
+            np.testing.assert_allclose(got_trace, want_trace, rtol=RTOL, atol=0)
         assert got.chosen_run == want.chosen_run
         assert got.reset_events == want.reset_events
-        assert got.mean_log_likelihood == want.mean_log_likelihood
+        assert got.mean_log_likelihood == pytest.approx(want.mean_log_likelihood, rel=RTOL, abs=0)
         return got
 
     def assert_kmeans_init_matches(self, monkeypatch, x, k, seeds):
@@ -348,7 +401,7 @@ class TestMatchesRowMajorReference:
             with monkeypatch.context() as patch:
                 patch.setattr(mixture, "_lloyd", reference_lloyd)
                 want = kmeans_init(x, k, seed)
-            assert model_bytes(got) == model_bytes(want), seed
+            assert_models_close(got, want, err_msg=f"seed {seed}")
 
     @pytest.mark.parametrize("d", [1, 2, 5, 7, 8, 9, 18, 130])
     @pytest.mark.parametrize("k", [1, 2, 3, 9])
@@ -367,10 +420,10 @@ class TestMatchesRowMajorReference:
         model.weights = rng.dirichlet(np.ones(k))
         logd = reference_log_density(x, model.weights, model.means, model.variances)
         norm = reference_logsumexp(logd, axis=1)
-        assert log_likelihood(x, model) == float(np.sum(norm))
+        assert log_likelihood(x, model) == pytest.approx(float(np.sum(norm)), rel=RTOL, abs=0)
         resp = responsibilities(x, model)
         assert resp.shape == (140, k) and resp.flags.c_contiguous
-        assert resp.tobytes() == np.exp(logd - norm[:, None]).tobytes()
+        np.testing.assert_allclose(resp, np.exp(logd - norm[:, None]), rtol=RTOL, atol=0)
 
     def test_duplicate_rows(self, monkeypatch):
         rng = np.random.default_rng(61)
@@ -396,58 +449,6 @@ class TestMatchesRowMajorReference:
 
     def test_nearest_ties_go_to_lowest_index(self):
         x = np.array([[0.5], [0.0], [1.0], [0.5]])
-        cols = mixture._Columns.of(x)
-        nearest, dist = mixture._nearest(cols, np.array([[0.0], [1.0], [0.0]]))
+        nearest, dist = mixture._nearest(x.T.copy(), np.array([[0.0], [1.0], [0.0]]))
         assert nearest.tolist() == [0, 0, 1, 0]
         assert dist.tolist() == [0.25, 0.0, 0.0, 0.25]
-
-
-class TestNumpySummationOrder:
-    """Canaries for the numpy summation orders the column-major kernels reproduce."""
-
-    @staticmethod
-    def terms(rng, shape):
-        return rng.uniform(-1, 1, size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
-
-    def test_pairwise_plan_matches_numpy_row_sum(self):
-        rng = np.random.default_rng(11)
-        for count in range(1, 300):
-            terms = rng.uniform(size=(5, count)) * 10.0 ** rng.uniform(-8, 8, size=(5, count))
-            order, adds = _pairwise_plan(0, count)
-            assert sorted(order) == list(range(count))
-            buf = terms[:, order].T.copy()
-            for dst, src, rows in adds:
-                buf[dst : dst + rows] += buf[src : src + rows]
-            assert np.array_equal(buf[0], np.sum(terms, axis=1)), count
-
-    @pytest.mark.parametrize("width", [1, 2, 3, 5, 9, 40])
-    def test_axis0_sum_is_sequential_above_width_one(self, width):
-        rng = np.random.default_rng(width)
-        for n in (1, 2, 7, 8, 9, 16, 127, 128, 129, 300, 1031):
-            t = self.terms(rng, (n, width))
-            if width > 1:  # the rows are added in sequence, starting from +0.0
-                want = np.zeros(width)
-                for row in t:
-                    want += row
-            else:  # one contiguous column is summed pairwise
-                order, adds = _pairwise_plan(0, n)
-                buf = t[order].copy()
-                want = 0.0 + mixture._add_rows(buf, adds)
-            assert t.sum(axis=0).tobytes() == want.tobytes(), (n, width)
-            assert mixture._sum_over_n(t.T.copy(), width).tobytes() == want.tobytes(), (n, width)
-
-    @pytest.mark.parametrize("width", [1, 2, 5, 9])
-    def test_blocks_sum_as_separate_arrays(self, width):
-        # one call sums k (n, width) arrays laid out as (k, width, n)
-        rng = np.random.default_rng(100 + width)
-        for n in (3, 129, 1031):
-            blocks = [self.terms(rng, (n, width)) for _ in range(4)]
-            stacked = np.stack([b.T for b in blocks])
-            want = np.stack([b.sum(axis=0) for b in blocks])
-            assert mixture._sum_over_n(stacked, width).tobytes() == want.tobytes(), (n, width)
-
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_negative_zero_columns_sum_to_positive_zero(self, width):
-        t = np.full((5, width), -0.0)
-        assert mixture._sum_over_n(t.T.copy(), width).tobytes() == t.sum(axis=0).tobytes()
-        assert np.signbit(t.sum(axis=0)).sum() == 0
