@@ -83,9 +83,16 @@ class Dataset:
         return DistanceSchema(kinds=tuple(c.kind for c in self.regular_columns))
 
     def feature_rows(self):
-        """Regular-column cells as a list of row tuples, mixed types preserved."""
-        cols = [v for c, v in zip(self.columns, self.values) if c.role == "regular"]
-        return [tuple(col[i] for col in cols) for i in range(self.n_rows)]
+        """Regular columns as one (rows, columns) float matrix, in schema order.
+
+        A nominal column holds each cell's index among its sorted levels.
+        """
+        cols = [
+            np.unique(v, return_inverse=True)[1] if c.kind == "nominal" else v
+            for c, v in zip(self.columns, self.values)
+            if c.role == "regular"
+        ]
+        return np.array(cols, dtype=float).reshape(len(cols), self.n_rows).T
 
     def numeric_matrix(self):
         """Rows x numeric-regular-columns float matrix (reducer/EM input)."""

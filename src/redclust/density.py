@@ -2,11 +2,15 @@
 
 Distances follow the mixed Euclidean rule: squared differences over numeric
 columns plus 0/1 mismatch over nominal columns, combined under one square
-root. Neighborhood search is an exact sorted sweep over one key column.
-DBSCAN sorts the rows by the numeric column that leaves the fewest
-candidate pairs and compares each row only with the rows whose key lies
-within a margin of its own; a table without numeric columns gets one
-window over all rows through the same code.
+root. Every table arrives as one 2-D float array; a ``DistanceSchema``
+marks which columns are nominal, and those hold level codes (see
+``Dataset.feature_rows``), so a mismatch is a code inequality.
+
+Neighborhood search is an exact sorted sweep over one key column. DBSCAN
+sorts the rows by the numeric column that leaves the fewest candidate
+pairs and compares each row only with the rows whose key lies within a
+margin of its own; a table without numeric columns gets one window over
+all rows through the same code.
 
 The sweep is exact. Every term of the squared distance q is non-negative
 and floating-point addition is monotone, so fl((a - b)^2) > t on the key
@@ -115,41 +119,28 @@ def mixed_euclidean(a, b, schema):
     return float(np.sqrt(total))
 
 
-def _split_blocks(rows, schema):
-    """Split row data into a float numeric block and an integer-coded nominal block."""
-    numeric_idx = [i for i, k in enumerate(schema.kinds) if k == NUMERIC]
-    nominal_idx = [i for i, k in enumerate(schema.kinds) if k == NOMINAL]
-    n = len(rows)
-    numeric = np.empty((n, len(numeric_idx)))
-    for j, col in enumerate(numeric_idx):
-        try:
-            numeric[:, j] = [float(r[col]) for r in rows]
-        except (TypeError, ValueError):
-            raise InvalidInputError(f"non-numeric value in numeric column {col}")
-    if not np.isfinite(numeric).all():
-        raise InvalidInputError("non-finite value in numeric column")
-    nominal = np.empty((n, len(nominal_idx)), dtype=np.int64)
-    for j, col in enumerate(nominal_idx):
-        values = [r[col] for r in rows]
-        _, codes = np.unique(np.asarray(values, dtype=object), return_inverse=True)
-        nominal[:, j] = codes
-    return numeric, nominal
-
-
 def _distance_inputs(data, schema):
-    """(float numeric block, integer-coded nominal block) of row data, validated.
+    """(numeric block, nominal block) of a float table, validated.
 
-    ``data`` is either a float 2-D array (treated as all numeric) or a
-    sequence of rows paired with a schema carrying nominal columns.
+    ``data`` is a 2-D float array: all numeric without a schema, else one
+    column per schema kind, with each nominal cell a level code.
     """
-    if schema is None or all(k == NUMERIC for k in schema.kinds):
-        numeric = np.asarray(data, dtype=float)
-        if numeric.ndim != 2:
-            raise InvalidInputError("expected 2-D row data")
-        if not np.isfinite(numeric).all():
-            raise InvalidInputError("non-finite value in numeric column")
-        return numeric, np.empty((len(numeric), 0), dtype=np.int64)
-    return _split_blocks(data, schema)
+    width = None if schema is None else schema.n_columns
+    try:
+        table = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        table = None
+    if table is None or table.ndim != 2 or width not in (None, table.shape[1]):
+        raise InvalidInputError(
+            f"expected a 2-D float table with {'any number of' if width is None else width}"
+            " columns, nominal cells given as level codes"
+        )
+    if not np.isfinite(table).all():
+        raise InvalidInputError("non-finite value in distance input")
+    nominal = np.zeros(table.shape[1], dtype=bool)
+    if schema is not None:
+        nominal[:] = [k == NOMINAL for k in schema.kinds]
+    return table[:, ~nominal], table[:, nominal]
 
 
 def _squared_blocks(numeric, nominal, ends):
@@ -188,10 +179,10 @@ def _squared_blocks(numeric, nominal, ends):
 
 
 def pairwise_distances(data, schema=None):
-    """Full n x n mixed-Euclidean distance matrix.
+    """Full n x n mixed-Euclidean distance matrix of a float table.
 
-    ``data`` is either a float 2-D array (treated as all numeric) or a
-    sequence of rows paired with a schema carrying nominal columns.
+    Without a schema every column is numeric; with one, its nominal
+    columns hold level codes, as ``Dataset.feature_rows`` gives them.
     """
     numeric, nominal = _distance_inputs(data, schema)
     n = numeric.shape[0]
@@ -366,12 +357,13 @@ def _run_clusters(key, t, min_pts, order, hi):
 
 
 def dbscan(data, eps, min_pts, schema=None):
-    """Classic DBSCAN. Returns a ClusterAssignment.
+    """Classic DBSCAN over a float table. Returns a ClusterAssignment.
 
-    Clusters are maximal density-connected sets; the scan walks rows in
-    order, so cluster ids are deterministic and a border point reachable
-    from several clusters lands in the first-discovered one. The
-    eps-neighborhood of a point includes the point itself.
+    ``data`` and ``schema`` are as for ``pairwise_distances``. Clusters are
+    maximal density-connected sets; the scan walks rows in order, so cluster
+    ids are deterministic and a border point reachable from several
+    clusters lands in the first-discovered one. The eps-neighborhood of a
+    point includes the point itself.
     """
     if not eps > 0:
         raise InvalidInputError(f"eps must be positive, got {eps}")

@@ -3,7 +3,11 @@
 A model file is ``{"type": <reducer name>, <field>: <value>, ...}`` with the
 model dataclass's fields in declaration order. Floats survive exactly: json
 emits the shortest repr that parses back to the same double, so save -> load
-reproduces every field bit-for-bit.
+reproduces every field bit-for-bit. Loading coerces nothing: each field must
+hold its exact JSON type (``true``/``false`` for a flag, an integer that is
+not a flag for a count), FastICA's nonlinearity must be a known one, and the
+arrays must be finite and their shapes must agree with each other and, for
+a SOM, with its grid.
 """
 
 import json
@@ -14,6 +18,7 @@ import numpy as np
 
 from .errors import InvalidInputError, OutputError
 from .reducers import IcaModel, PcaModel, SomGrid
+from .reducers.ica import NONLINEARITIES
 
 # reducer name (as in REDUCER_ORDER) -> the model class its fit returns
 MODEL_TYPES = {"pca": PcaModel, "som": SomGrid, "fastica": IcaModel}
@@ -29,6 +34,29 @@ def model_to_dict(model):
         value = getattr(model, f.name)
         out[f.name] = value.tolist() if f.type is np.ndarray else value
     return out
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# field annotation -> (test of the parsed JSON value, what the test asks for)
+_JSON_TYPES = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    np.ndarray: (lambda v: isinstance(v, list), "a list"),
+}
+
+# model class -> each array field's shape as named axes; a name shared by two
+# fields is one size, and a SOM codebook has a row per grid node
+_SHAPES = {
+    PcaModel: {"basis": ("dim", "retained"), "mean": ("dim",), "eigenvalues": ("dim",)},
+    SomGrid: {"codebook": ("nodes", "dim")},
+    IcaModel: {"mean": ("dim",), "whitening": ("components", "dim"),
+               "unmixing": ("components", "components")},
+}
 
 
 def model_from_dict(payload):
@@ -47,11 +75,39 @@ def model_from_dict(payload):
         raise InvalidInputError(f"{kind} model has unknown fields {extra}")
     values = {}
     for f in fields(cls):
-        convert = (lambda v: np.asarray(v, dtype=float)) if f.type is np.ndarray else f.type
-        try:
-            values[f.name] = convert(payload[f.name])
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"{kind} model: bad field {f.name!r}: {exc}") from exc
+        value = payload[f.name]
+        accepts, expected = _JSON_TYPES[f.type]
+        if not accepts(value):
+            raise InvalidInputError(f"{kind} model: field {f.name!r} must be {expected}, got {value!r}")
+        if f.type is np.ndarray:
+            try:
+                value = np.asarray(value, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(f"{kind} model: bad field {f.name!r}: {exc}") from exc
+            if not np.isfinite(value).all():
+                raise InvalidInputError(f"{kind} model: field {f.name!r} holds non-finite values")
+        values[f.name] = value
+
+    if cls is IcaModel and values["nonlinearity"] not in NONLINEARITIES:
+        raise InvalidInputError(
+            f"fastica model: nonlinearity must be one of {sorted(NONLINEARITIES)}, "
+            f"got {values['nonlinearity']!r}"
+        )
+    sizes = {}
+    if cls is SomGrid:
+        if values["width"] < 1 or values["height"] < 1:
+            raise InvalidInputError(
+                f"som model: grid sides must be >= 1, got {values['width']}x{values['height']}"
+            )
+        sizes["nodes"] = values["width"] * values["height"]
+    for name, axes in _SHAPES[cls].items():
+        shape = values[name].shape
+        if len(shape) != len(axes) or any(
+            sizes.setdefault(axis, size) != size for axis, size in zip(axes, shape)
+        ):
+            raise InvalidInputError(
+                f"{kind} model: field {name!r} has shape {shape}, expected axes {axes} of sizes {sizes}"
+            )
     return cls(**values)
 
 

@@ -85,7 +85,8 @@ def som_fit(x, width, height, epochs=100, radius0=None, seed=0):
 
     radius0 defaults to half the larger grid side. The codebook starts
     uniform over each column's range, drawn from the seed, so identical
-    seed/config/data give a bit-identical codebook. A node whose
+    seed/config/data give a bit-identical codebook; a constant column
+    starts every node at its value, so it moves no row's BMU. A node whose
     neighborhood weight, summed over the rows, underflows (to 0 or to a
     subnormal, too few bits to divide by) keeps its prototype that epoch.
     """
@@ -104,9 +105,6 @@ def som_fit(x, width, height, epochs=100, radius0=None, seed=0):
     nodes = width * height
     lo = x.min(axis=0)
     hi = x.max(axis=0)
-    flat = hi - lo == 0.0  # constant columns still need a spread to learn from
-    lo = np.where(flat, lo - 0.5, lo)
-    hi = np.where(flat, hi + 0.5, hi)
     grid = SomGrid(
         width=int(width),
         height=int(height),

@@ -21,7 +21,7 @@ from redclust.errors import (
     InvalidInputError,
     SchemaError,
 )
-from redclust.model_io import load_model, save_model
+from redclust.model_io import load_model, model_from_dict, model_to_dict, save_model
 from redclust.reducers import fastica_fit, pca_fit, som_fit
 
 
@@ -389,3 +389,70 @@ class TestModelIo:
             load_model(path)
         assert str(path) in str(info.value)
         assert named in str(info.value)
+
+
+def fitted_model_dicts():
+    """A valid saved-model dict for each model type, keyed by type."""
+    rng = np.random.default_rng(4)
+    x = rng.uniform(size=(40, 3))
+    models = [pca_fit(x, k=2), som_fit(x, width=3, height=2, epochs=2, seed=1),
+              fastica_fit(x, seed=2)]
+    return {d["type"]: d for d in map(model_to_dict, models)}
+
+
+class TestModelFieldChecks:
+    """model_from_dict checks each field's JSON type and the arrays' shapes; it coerces nothing."""
+
+    @pytest.mark.parametrize(
+        "kind, field, value, named",
+        [
+            ("fastica", "converged", "false", "true or false"),
+            ("fastica", "converged", 0, "true or false"),
+            ("fastica", "n_iter", 7.9, "an integer"),
+            ("fastica", "n_iter", True, "an integer"),
+            ("fastica", "nonlinearity", 12, "a string"),
+            ("fastica", "nonlinearity", "sine", "'cube', 'tanh'"),
+            ("som", "width", 2.7, "an integer"),
+            ("som", "height", True, "an integer"),
+            ("som", "width", -3, "grid sides"),
+            ("som", "qe_log", "abc", "a list of numbers"),
+            ("som", "qe_log", [0.5, "x"], "a list of numbers"),
+            ("pca", "mean", "abc", "a list"),
+            ("pca", "basis", [[1.0, 0.0], [0.0]], "bad field 'basis'"),
+        ],
+    )
+    def test_wrong_json_type_rejected(self, kind, field, value, named):
+        payload = dict(fitted_model_dicts()[kind], **{field: value})
+        with pytest.raises(InvalidInputError) as info:
+            model_from_dict(payload)
+        assert named in str(info.value)
+
+    @pytest.mark.parametrize(
+        "kind, field, trim",
+        [
+            ("som", "codebook", lambda a: a[:-1]),  # 5 rows for a 3 x 2 grid
+            ("som", "codebook", lambda a: a + a),  # 12 rows for a 3 x 2 grid
+            ("som", "codebook", lambda a: a[0]),  # one row, not a table
+            ("pca", "mean", lambda a: a[:-1]),
+            ("pca", "eigenvalues", lambda a: a + a),
+            ("pca", "basis", lambda a: a[:-1]),
+            ("fastica", "unmixing", lambda a: [row[:-1] for row in a]),
+            ("fastica", "whitening", lambda a: [row[:-1] for row in a]),
+            ("fastica", "mean", lambda a: a[:-1]),
+        ],
+    )
+    def test_mismatched_shapes_rejected(self, kind, field, trim):
+        payload = fitted_model_dicts()[kind]
+        payload[field] = trim(payload[field])
+        # the first field whose shape disagrees with those before it is named
+        with pytest.raises(InvalidInputError, match="has shape"):
+            model_from_dict(payload)
+
+    @pytest.mark.parametrize("kind, field", [("som", "codebook"), ("pca", "basis"),
+                                             ("fastica", "unmixing")])
+    def test_non_finite_array_rejected(self, kind, field):
+        # json reads NaN and Infinity; one NaN codebook cell drew every row to its node
+        payload = fitted_model_dicts()[kind]
+        payload[field][0][0] = float("nan")
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            model_from_dict(json.loads(json.dumps(payload)))

@@ -224,7 +224,7 @@ class TestSimilarity:
         )
         sim = data_to_similarity(ds)
         schema = ds.distance_schema()
-        rows = ds.feature_rows()
+        rows = list(zip(*ds.values))
         for i in range(n):
             for j in range(n):
                 expected = 1.0 / (1.0 + mixed_euclidean(rows[i], rows[j], schema))

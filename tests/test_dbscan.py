@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import redclust.density as density
+from redclust.dataset import ColumnSpec, Dataset
 from redclust.density import (
     _BLOCK_ROWS,
     NOISE,
@@ -73,6 +74,27 @@ def oracle_roles(dist, eps, min_pts, labels):
     """Roles implied by the eps-graph of ``dist`` and the oracle's labels."""
     core = (dist <= eps).sum(axis=1) >= min_pts
     return np.where(core, "core", np.where(labels == NOISE, "noise", "border"))
+
+
+def coded(rows, schema):
+    """Float table of ``rows``: each nominal cell becomes its index among the column's sorted levels."""
+    columns = []
+    for column, kind in zip(zip(*rows), schema.kinds):
+        if kind == "nominal":
+            levels = sorted(set(column))
+            column = [levels.index(v) for v in column]
+        columns.append(column)
+    return np.array(columns, dtype=float).T
+
+
+def scalar_distances(rows, schema):
+    """n x n distances between ``rows`` by the per-pair ``mixed_euclidean``."""
+    n = len(rows)
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i, j] = dist[j, i] = mixed_euclidean(rows[i], rows[j], schema)
+    return dist
 
 
 def as_partition(labels):
@@ -147,7 +169,7 @@ class TestMixedEuclidean:
         schema = DistanceSchema(kinds=("numeric", "nominal", "numeric"))
         pool = ["a", "b", "c"]
         rows = [[rng.normal(), pool[rng.integers(3)], rng.normal()] for _ in range(12)]
-        dist = pairwise_distances(rows, schema)
+        dist = pairwise_distances(coded(rows, schema), schema)
         for i in range(12):
             for j in range(12):
                 assert dist[i, j] == pytest.approx(
@@ -192,8 +214,8 @@ class TestDbscan:
         for _ in range(20):
             n = int(rng.integers(5, 30))
             rows = [[float(rng.normal()), pool[rng.integers(2)]] for _ in range(n)]
-            out = dbscan(rows, eps=1.0, min_pts=3, schema=schema)
-            oracle = reachability_oracle(pairwise_distances(rows, schema), 1.0, 3)
+            out = dbscan(coded(rows, schema), eps=1.0, min_pts=3, schema=schema)
+            oracle = reachability_oracle(scalar_distances(rows, schema), 1.0, 3)
             assert np.array_equal(out.labels, oracle)
 
     def test_roles_and_invariants(self):
@@ -251,16 +273,58 @@ class TestDbscan:
         with pytest.raises(InvalidInputError):
             dbscan(np.array([[1.0], [np.inf]]), eps=1.0, min_pts=1)
 
+    def test_string_cells_rejected(self):
+        schema = DistanceSchema(kinds=("numeric", "nominal"))
+        rows = [(0.0, "a"), (0.1, "b")]
+        with pytest.raises(InvalidInputError, match="level codes"):
+            dbscan(rows, eps=1.0, min_pts=1, schema=schema)
+        with pytest.raises(InvalidInputError, match="level codes"):
+            pairwise_distances(rows, schema)
+
+    def test_row_width_must_match_schema(self):
+        # a third cell is neither dropped nor counted: the table is refused
+        rows = np.array([[0.0, 0.0, 100.0], [0.1, 0.0, -100.0], [0.2, 0.0, 50.0]])
+        for kinds in [("numeric", "nominal"), ("numeric", "numeric")]:
+            with pytest.raises(InvalidInputError, match="with 2 columns"):
+                dbscan(rows, eps=1.0, min_pts=2, schema=DistanceSchema(kinds=kinds))
+        with pytest.raises(InvalidInputError, match="level codes"):
+            dbscan([(0.0, 1.0), (0.5,)], eps=1.0, min_pts=2)
+        with pytest.raises(InvalidInputError, match="2-D"):
+            pairwise_distances(np.zeros(4))
+
+    def test_dataset_feature_rows_are_sorted_level_codes(self):
+        rng = np.random.default_rng(37)
+        n = 60
+        colour = np.asarray([["red", "blue", "green"][i] for i in rng.integers(3, size=n)], dtype=object)
+        ds = Dataset(
+            name="m",
+            columns=[ColumnSpec("id", kind="nominal", role="id"), ColumnSpec("x"),
+                     ColumnSpec("colour", kind="nominal"), ColumnSpec("y")],
+            values=[np.arange(n).astype(str).astype(object), rng.normal(size=n), colour,
+                    rng.normal(size=n)],
+        )
+        table = ds.feature_rows()
+        assert table.dtype == np.float64 and table.shape == (n, 3)
+        assert np.array_equal(table[:, 0], ds.values[1])
+        assert np.array_equal(table[:, 2], ds.values[3])
+        levels = ["blue", "green", "red"]
+        assert table[:, 1].tolist() == [float(levels.index(c)) for c in colour]
+
+        schema = ds.distance_schema()
+        rows = list(zip(ds.values[1], colour, ds.values[3]))
+        dist = scalar_distances(rows, schema)
+        for eps, min_pts in [(0.8, 3), (1.2, 5)]:
+            assert_matches_oracle(table, eps, min_pts, schema, dist)
+
+    def test_dataset_without_regular_columns(self):
+        ds = Dataset(name="e", columns=[ColumnSpec("id", role="id")], values=[np.arange(3.0)])
+        table = ds.feature_rows()
+        assert table.shape == (3, 0)
+        assert list(dbscan(table, eps=1.0, min_pts=3, schema=ds.distance_schema()).labels) == [0] * 3
+
 
 class TestEpsGraph:
     """DBSCAN builds its eps-graph in row blocks; it must match the full matrix."""
-
-    def assert_matches_oracle(self, data, eps, min_pts, schema=None):
-        out = dbscan(data, eps=eps, min_pts=min_pts, schema=schema)
-        dist = pairwise_distances(data, schema)
-        labels = reachability_oracle(dist, eps, min_pts)
-        assert np.array_equal(out.labels, labels)
-        assert np.array_equal(out.roles, oracle_roles(dist, eps, min_pts, labels))
 
     # 7 and 9 rows fill part of a byte of the packed graph; 65 and 8 * 64 + 3
     # end on a partial byte after several blocks, and their frontier windows
@@ -274,7 +338,7 @@ class TestEpsGraph:
         rng = np.random.default_rng(n)
         x = rng.normal(scale=1.5, size=(n, 3))
         for eps, min_pts in [(0.8, 1), (1.0, 4), (1.5, 7)]:
-            self.assert_matches_oracle(x, eps, min_pts)
+            assert_matches_oracle(x, eps, min_pts)
 
     def test_mixed_rows_across_blocks_match_oracle(self):
         rng = np.random.default_rng(41)
@@ -286,13 +350,13 @@ class TestEpsGraph:
             for _ in range(n)
         ]
         for eps, min_pts in [(1.0, 3), (1.5, 5), (2.0, 9)]:
-            self.assert_matches_oracle(rows, eps, min_pts, schema)
+            assert_rows_match_oracle(rows, eps, min_pts, schema)
 
     def test_boundary_ties_match_oracle(self):
         # a grid of step 0.5 puts many pairs at exactly eps
         grid = np.array([[0.5 * i, 0.5 * j] for i in range(12) for j in range(9)])
         for eps in (0.5, 1.0, 1.5):
-            self.assert_matches_oracle(grid, eps, 5)
+            assert_matches_oracle(grid, eps, 5)
 
     def test_threshold_is_largest_square_within_eps(self):
         rng = np.random.default_rng(42)
@@ -339,13 +403,22 @@ class TestEpsGraph:
         assert peak < n * n / 2
 
 
-def assert_matches_oracle(data, eps, min_pts, schema=None):
-    """Labels and roles of ``dbscan`` equal the oracle's on the full distance matrix."""
+def assert_matches_oracle(data, eps, min_pts, schema=None, dist=None):
+    """Labels and roles of ``dbscan`` equal the oracle's on the full distance matrix.
+
+    ``dist`` defaults to ``pairwise_distances`` of the same table.
+    """
     out = dbscan(data, eps=eps, min_pts=min_pts, schema=schema)
-    dist = pairwise_distances(data, schema)
+    if dist is None:
+        dist = pairwise_distances(data, schema)
     labels = reachability_oracle(dist, eps, min_pts)
     assert np.array_equal(out.labels, labels)
     assert np.array_equal(out.roles, oracle_roles(dist, eps, min_pts, labels))
+
+
+def assert_rows_match_oracle(rows, eps, min_pts, schema):
+    """``dbscan`` on the coded table of ``rows``; the oracle on their ``mixed_euclidean``."""
+    assert_matches_oracle(coded(rows, schema), eps, min_pts, schema, scalar_distances(rows, schema))
 
 
 def farthest_neighbour(a, t):
@@ -421,7 +494,7 @@ class TestSweep:
         pool = ["a", "b", "c"]
         rows = [tuple(pool[i] for i in rng.integers(3, size=3)) for _ in range(2 * _BLOCK_ROWS + 5)]
         for eps, min_pts in [(0.5, 3), (1.0, 6), (1.5, 20)]:
-            assert_matches_oracle(rows, eps, min_pts, schema)
+            assert_rows_match_oracle(rows, eps, min_pts, schema)
         order, lo, hi = _sweep_order(np.empty((len(rows), 0)), _squared_threshold(1.0))
         assert np.array_equal(order, np.arange(len(rows)))
         assert set(lo.tolist()) == {0} and set(hi.tolist()) == {len(rows)}
@@ -435,12 +508,12 @@ class TestSweep:
             for _ in range(3 * _BLOCK_ROWS)
         ]
         for eps, min_pts in [(1.0, 2), (1.5, 4), (2.5, 6)]:
-            assert_matches_oracle(rows, eps, min_pts, schema)
+            assert_rows_match_oracle(rows, eps, min_pts, schema)
 
     def test_single_row(self):
         assert_matches_oracle(np.array([[1e6, -3.0]]), 1e-3, 1)
         assert_matches_oracle(np.array([[2.0]]), 1.0, 2)
-        assert_matches_oracle([("a",)], 1.0, 1, DistanceSchema(kinds=("nominal",)))
+        assert_rows_match_oracle([("a",)], 1.0, 1, DistanceSchema(kinds=("nominal",)))
 
     def test_best_key_is_not_column_zero(self):
         rng = np.random.default_rng(65)
@@ -496,7 +569,7 @@ class TestSweepProperties:
         @hypothesis.given(tables())
         def check(case):
             rows, schema, eps, min_pts = case
-            assert_matches_oracle(rows, eps, min_pts, schema)
+            assert_rows_match_oracle(rows, eps, min_pts, schema)
 
         check()
 
@@ -554,7 +627,7 @@ class TestOneColumn:
         dbscan(np.array([[r[0]] for r in rows]), eps=1.0, min_pts=3)
         assert blocks == []
         schema = DistanceSchema(kinds=("numeric", "nominal"))
-        dbscan(rows, eps=1.0, min_pts=3, schema=schema)
+        dbscan(coded(rows, schema), eps=1.0, min_pts=3, schema=schema)
         assert blocks == [(40, 1)]
 
     def test_runs_match_oracle_property(self):

@@ -15,12 +15,9 @@ def two_clouds(rng, n_per=30, sep=10.0):
 
 
 def initial_codebook(x, nodes, seed):
-    """som_fit's seeded start: uniform over each column's range, widened by 0.5 if constant."""
+    """som_fit's seeded start: uniform over each column's range."""
     lo = x.min(axis=0)
     hi = x.max(axis=0)
-    flat = hi - lo == 0.0
-    lo = np.where(flat, lo - 0.5, lo)
-    hi = np.where(flat, hi + 0.5, hi)
     return np.random.default_rng(seed).uniform(size=(nodes, x.shape[1])) * (hi - lo) + lo
 
 
@@ -65,10 +62,8 @@ class TestSomFit:
     @pytest.mark.parametrize("n", [20, 70])
     @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 17, 18, 24, 130])
     def test_matches_loop_batch_map_for_every_shape(self, dim, n):
-        # one column, more columns than rows, a grid that is not square. Column
-        # scales stay within 0.1..10: a column of scale 1e-3 next to a constant
-        # column's start spread of 1 puts every row on one BMU, every node then
-        # becomes the same mean, and BMU ties among them fall to rounding
+        # one column, more columns than rows, a grid that is not square; column
+        # scales within 0.1..10
         rng = np.random.default_rng(dim * 100 + n)
         x = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-1, 1, size=dim)
         if dim > 1:
@@ -86,7 +81,7 @@ class TestSomFit:
         # column-wise [min, max] up to rounding
         rng = np.random.default_rng(width * height)
         x = rng.normal(size=(60, 6)) * 10.0 ** rng.uniform(-4, 4, size=6)
-        x[:, 3] = -7.25  # a constant column: the start lies outside its range
+        x[:, 3] = -7.25  # a constant column
         lo, hi = x.min(axis=0), x.max(axis=0)
         slack = 4 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
         for epochs in (1, 2, 25):
@@ -112,12 +107,22 @@ class TestSomFit:
         assert np.all(moved >= x.min(axis=0) - slack) and np.all(moved <= x.max(axis=0) + slack)
 
     def test_single_point_converges(self):
+        # every column is constant, so every node starts on the lone sample
+        # and each weighted mean of it returns it
         x = np.array([[2.0, -1.0, 0.5]])
         grid = som_fit(x, width=3, height=2, epochs=30, seed=1)
-        assert grid.qe_log[-1] < grid.qe_log[0]
-        # every node should have been pulled toward the lone sample
-        final = np.linalg.norm(grid.codebook - x[0], axis=1)
-        assert final.max() < 1.0
+        assert grid.qe_log == [0.0] * 31
+        assert np.array_equal(grid.codebook, np.tile(x, (6, 1)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_constant_column_does_not_collapse_the_map(self, seed):
+        # a start spread on the constant column would outweigh a column of
+        # scale 1e-3, put every row on one BMU and make every node the same
+        # mean up to rounding, some 1e-17 of the column's spread
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([rng.normal(scale=1e-3, size=20), np.full(20, 3.0)])
+        grid = som_fit(x, width=4, height=3, epochs=1, seed=seed)
+        assert np.ptp(grid.codebook[:, 0]) > 1e-3 * np.ptp(x[:, 0])
 
     def test_two_clouds_split_across_2x1_grid(self):
         rng = np.random.default_rng(7)
