@@ -83,10 +83,7 @@ class Dataset:
         return DistanceSchema(kinds=tuple(c.kind for c in self.regular_columns))
 
     def feature_rows(self):
-        """Regular columns as one (rows, columns) float matrix, in schema order.
-
-        A nominal column holds each cell's index among its sorted levels.
-        """
+        """Regular columns as one float matrix; nominal ones hold sorted-level codes."""
         cols = [
             np.unique(v, return_inverse=True)[1] if c.kind == "nominal" else v
             for c, v in zip(self.columns, self.values)

@@ -2,15 +2,12 @@
 
 Distances follow the mixed Euclidean rule: squared differences over numeric
 columns plus 0/1 mismatch over nominal columns, combined under one square
-root. Every table arrives as one 2-D float array; a ``DistanceSchema``
-marks which columns are nominal, and those hold level codes (see
-``Dataset.feature_rows``), so a mismatch is a code inequality.
-
-Neighborhood search is an exact sorted sweep over one key column. DBSCAN
-sorts the rows by the numeric column that leaves the fewest candidate
-pairs and compares each row only with the rows whose key lies within a
-margin of its own; a table without numeric columns gets one window over
-all rows through the same code.
+root. Nominal columns hold level codes (``Dataset.feature_rows``); string
+cells are coded on entry. Neighborhood search is an exact sorted sweep over
+one key column. DBSCAN sorts the rows by the numeric column that leaves the
+fewest candidate pairs and compares each row only with the rows whose key
+lies within a margin of its own; a table without numeric columns gets one
+window over all rows through the same code.
 
 The sweep is exact. Every term of the squared distance q is non-negative
 and floating-point addition is monotone, so fl((a - b)^2) > t on the key
@@ -120,26 +117,31 @@ def mixed_euclidean(a, b, schema):
 
 
 def _distance_inputs(data, schema):
-    """(numeric block, nominal block) of a float table, validated.
+    """(numeric block, nominal block) of a 2-D table as floats, validated.
 
-    ``data`` is a 2-D float array: all numeric without a schema, else one
-    column per schema kind, with each nominal cell a level code.
+    Nominal cells are level codes (``Dataset.feature_rows``) or other sortable
+    cells, coded here by their index among the column's sorted levels.
     """
     width = None if schema is None else schema.n_columns
     try:
-        table = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
+        table = np.asarray(data)
+    except ValueError:  # rows of different widths
         table = None
     if table is None or table.ndim != 2 or width not in (None, table.shape[1]):
-        raise InvalidInputError(
-            f"expected a 2-D float table with {'any number of' if width is None else width}"
-            " columns, nominal cells given as level codes"
-        )
-    if not np.isfinite(table).all():
-        raise InvalidInputError("non-finite value in distance input")
+        raise InvalidInputError(f"expected a 2-D table with {'any' if width is None else width} columns")
     nominal = np.zeros(table.shape[1], dtype=bool)
     if schema is not None:
         nominal[:] = [k == NOMINAL for k in schema.kinds]
+    try:
+        if table.dtype.kind not in "biuf":
+            table = np.array(data, dtype=object)
+            for j in np.flatnonzero(nominal):
+                table[:, j] = np.unique(table[:, j], return_inverse=True)[1]
+        table = np.asarray(table, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError("non-numeric cell in a numeric column, or nominal levels that do not sort")
+    if not np.isfinite(table).all():
+        raise InvalidInputError("non-finite value in distance input")
     return table[:, ~nominal], table[:, nominal]
 
 
@@ -179,10 +181,10 @@ def _squared_blocks(numeric, nominal, ends):
 
 
 def pairwise_distances(data, schema=None):
-    """Full n x n mixed-Euclidean distance matrix of a float table.
+    """Full n x n mixed-Euclidean distance matrix of a 2-D table.
 
     Without a schema every column is numeric; with one, its nominal
-    columns hold level codes, as ``Dataset.feature_rows`` gives them.
+    columns hold level codes or sortable cells (see ``_distance_inputs``).
     """
     numeric, nominal = _distance_inputs(data, schema)
     n = numeric.shape[0]
@@ -357,7 +359,7 @@ def _run_clusters(key, t, min_pts, order, hi):
 
 
 def dbscan(data, eps, min_pts, schema=None):
-    """Classic DBSCAN over a float table. Returns a ClusterAssignment.
+    """Classic DBSCAN over a 2-D table. Returns a ClusterAssignment.
 
     ``data`` and ``schema`` are as for ``pairwise_distances``. Clusters are
     maximal density-connected sets; the scan walks rows in order, so cluster

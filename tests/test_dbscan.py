@@ -273,21 +273,36 @@ class TestDbscan:
         with pytest.raises(InvalidInputError):
             dbscan(np.array([[1.0], [np.inf]]), eps=1.0, min_pts=1)
 
-    def test_string_cells_rejected(self):
+    def test_string_rows_are_coded_on_entry(self):
+        # "1" and "01" are distinct levels, though both parse as the number 1
         schema = DistanceSchema(kinds=("numeric", "nominal"))
-        rows = [(0.0, "a"), (0.1, "b")]
-        with pytest.raises(InvalidInputError, match="level codes"):
-            dbscan(rows, eps=1.0, min_pts=1, schema=schema)
-        with pytest.raises(InvalidInputError, match="level codes"):
-            pairwise_distances(rows, schema)
+        rows = [(0.0, "b"), (0.1, "1"), (0.2, "01"), (0.3, "b"), (0.4, "a")]
+        coded = np.array([[0.0, 3.0], [0.1, 1.0], [0.2, 0.0], [0.3, 3.0], [0.4, 2.0]])
+        assert np.array_equal(pairwise_distances(rows, schema), pairwise_distances(coded, schema))
+        assert np.array_equal(pairwise_distances(rows, schema), scalar_distances(rows, schema))
+        assert dbscan(rows, 0.5, 2, schema).labels.tolist() == dbscan(coded, 0.5, 2, schema).labels.tolist()
+
+    def test_non_numeric_cells_rejected(self):
+        mixed = DistanceSchema(kinds=("numeric", "nominal"))
+        for rows, schema in [
+            ([(0.0, "a"), (0.1, "b")], None),  # every column numeric
+            ([("x", "a"), (0.1, "b")], mixed),  # a string in the numeric column
+            ([(0.0, 1), (0.1, "b")], mixed),  # nominal levels that do not sort
+        ]:
+            with pytest.raises(InvalidInputError, match="non-numeric cell"):
+                dbscan(rows, eps=1.0, min_pts=1, schema=schema)
+            with pytest.raises(InvalidInputError, match="non-numeric cell"):
+                pairwise_distances(rows, schema)
 
     def test_row_width_must_match_schema(self):
         # a third cell is neither dropped nor counted: the table is refused
         rows = np.array([[0.0, 0.0, 100.0], [0.1, 0.0, -100.0], [0.2, 0.0, 50.0]])
+        strings = [(0.0, "a", 100.0), (0.1, "a", -100.0), (0.2, "a", 50.0)]
         for kinds in [("numeric", "nominal"), ("numeric", "numeric")]:
-            with pytest.raises(InvalidInputError, match="with 2 columns"):
-                dbscan(rows, eps=1.0, min_pts=2, schema=DistanceSchema(kinds=kinds))
-        with pytest.raises(InvalidInputError, match="level codes"):
+            for table in (rows, strings):
+                with pytest.raises(InvalidInputError, match="with 2 columns"):
+                    dbscan(table, eps=1.0, min_pts=2, schema=DistanceSchema(kinds=kinds))
+        with pytest.raises(InvalidInputError, match="2-D"):
             dbscan([(0.0, 1.0), (0.5,)], eps=1.0, min_pts=2)
         with pytest.raises(InvalidInputError, match="2-D"):
             pairwise_distances(np.zeros(4))

@@ -62,8 +62,11 @@ class TestSomFit:
     @pytest.mark.parametrize("n", [20, 70])
     @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 17, 18, 24, 130])
     def test_matches_loop_batch_map_for_every_shape(self, dim, n):
-        # one column, more columns than rows, a grid that is not square; column
-        # scales within 0.1..10
+        # one column, more columns than rows, a grid that is not square. Column
+        # scales stay within 0.1..10: at 1e-3..1e3 one large column can put
+        # every row's BMU on one grid row (dim 18, n 20 after epoch 1); nodes
+        # that share a grid column then get the same weighted mean in exact
+        # arithmetic, and BMU ties among them fall to rounding
         rng = np.random.default_rng(dim * 100 + n)
         x = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-1, 1, size=dim)
         if dim > 1:
