@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import load_dataset, normalize
 from .dataset import data_to_similarity, filter_examples  # noqa: F401  (call-site tracers wrap these names here)
 from .density import NOISE, dbscan, cluster_count
-from .errors import InvalidConfigError, OutputError, SchemaError
+from .errors import InvalidConfigError, OutputError, RedclustError, SchemaError
 from .mixture import em_fit
 from .reducers import (
     ReducedDataset,
@@ -168,12 +168,19 @@ def _derive_seed(base, dataset_index, reducer_index):
     )
 
 
-def fit_reducer(name, matrix, config, seed):
-    """Fit one named reducer to a numeric matrix: (model, ReducedDataset).
+def fit_reducer(name, work, config, seed):
+    """Fit one named reducer to the working Dataset: (model, ReducedDataset).
 
-    The one dispatch behind the bench grid and every CLI subcommand; the
-    model is None for svd, which keeps no fitted state.
+    The one dispatch behind the bench grid and every CLI subcommand, and the
+    one place that decides what the unreduced cell clusters on: for "none"
+    the ReducedDataset is every regular column (nominal ones as level codes)
+    with the table's DistanceSchema. The four reducers fit
+    ``work.numeric_matrix()``. The model is None for svd and none, which
+    keep no fitted state.
     """
+    if name == "none":
+        return None, ReducedDataset(work.feature_rows(), work.distance_schema())
+    matrix = work.numeric_matrix()
     if name == "svd":
         return None, svd_reduce(matrix, k=min(config.svd_k, min(matrix.shape)))
     if name == "pca":
@@ -211,6 +218,9 @@ def load_config_datasets(config):
     loaded = []
     for data_path, schema_path in config.datasets:
         ds = load_dataset(data_path, schema_path)
+        if any(seen.name == ds.name for seen in loaded):
+            # cells, columns and point files are keyed by name
+            raise InvalidConfigError(f"two datasets are named {ds.name!r}; each needs its own name")
         expected = EXPECTED_REGULAR_ATTRIBUTES.get(ds.name)
         if expected is not None and ds.n_regular != expected:
             raise SchemaError(
@@ -234,23 +244,17 @@ def _run_cell(ds, work, reducer, config, seed):
     cell = BenchmarkCell(dataset=ds.name, reducer=reducer)
     try:
         t0 = time.perf_counter()
-        if reducer == "none":
-            reduced = None
-            cell.attribute_count = work.n_regular
-        else:
-            model, reduced = fit_reducer(reducer, work.numeric_matrix(), config, seed)
-            cell.attribute_count = reduced.k
-            cell.reducer_converged = getattr(model, "converged", None)
+        model, reduced = fit_reducer(reducer, work, config, seed)
         t1 = time.perf_counter()
+        cell.attribute_count = reduced.k
+        cell.reducer_converged = getattr(model, "converged", None)
 
-        if reduced is None:
-            cluster_input, schema = work.feature_rows(), work.distance_schema()
-            coords = work.numeric_matrix()
-        else:
-            cluster_input, schema = reduced.data, None
-            coords = reduced.data
+        # EM and the plots take the unreduced table's numeric columns, not its level codes
+        coords = reduced.data if reduced.schema is None else work.numeric_matrix()
         t2 = time.perf_counter()
-        assignment = dbscan(cluster_input, eps=config.eps, min_pts=config.min_pts, schema=schema)
+        assignment = dbscan(
+            reduced.data, eps=config.eps, min_pts=config.min_pts, schema=reduced.schema
+        )
         t3 = time.perf_counter()
 
         cell.reduce_ms = round((t1 - t0) * 1000.0)
@@ -419,15 +423,22 @@ def pca_threshold_sweep(datasets, config):
     on the same normalization variant the canonical comparison uses. It
     fits PCA once per table and reads every threshold's count from that
     fit's eigenvalues, the count ``pca_fit(variance_threshold=t)`` keeps.
+    A table PCA cannot fit gets "ERROR" rows, as a failed grid cell does.
     """
     rows = []
     for ds in datasets:
         work = normalize(ds) if config.normalize else ds
-        matrix = work.numeric_matrix()
-        eigenvalues = pca_fit(matrix, k=matrix.shape[1]).eigenvalues
+        try:
+            matrix = work.numeric_matrix()
+            eigenvalues = pca_fit(matrix, k=matrix.shape[1]).eigenvalues
+        except RedclustError:  # a table PCA cannot fit must not end the bench after its grid ran
+            eigenvalues = None
         reference = REFERENCE_ATTRIBUTE_COUNTS["pca"].get(ds.name)
         for threshold in PCA_SWEEP_THRESHOLDS:
-            retained = retained_for_threshold(eigenvalues, threshold)
+            if eigenvalues is None:
+                retained = "ERROR"
+            else:
+                retained = retained_for_threshold(eigenvalues, threshold)
             rows.append(
                 {
                     "dataset": ds.name,
@@ -532,17 +543,17 @@ def paired_dbscan_timing(ds, config, repetitions=11):
     state; returns (median_reduced_ms, median_unreduced_ms).
     """
     work = normalize(ds) if config.normalize else ds
-    matrix = work.numeric_matrix()
-    reduced = svd_reduce(matrix, k=1)
-    rows, schema = work.feature_rows(), work.distance_schema()
+    config = replace(config, svd_k=1)
+    _, reduced = fit_reducer("svd", work, config, config.seed)
+    _, unreduced = fit_reducer("none", work, config, config.seed)
 
     reduced_ms = []
     unreduced_ms = []
     for _ in range(repetitions):
         t0 = time.perf_counter()
-        dbscan(reduced.data, eps=config.eps, min_pts=config.min_pts)
+        dbscan(reduced.data, eps=config.eps, min_pts=config.min_pts, schema=reduced.schema)
         t1 = time.perf_counter()
-        dbscan(rows, eps=config.eps, min_pts=config.min_pts, schema=schema)
+        dbscan(unreduced.data, eps=config.eps, min_pts=config.min_pts, schema=unreduced.schema)
         t2 = time.perf_counter()
         reduced_ms.append((t1 - t0) * 1000.0)
         unreduced_ms.append((t2 - t1) * 1000.0)

@@ -236,21 +236,17 @@ def cmd_reduce(args):
     config.datasets = [pair]
     _validate_usage(config)
     ds, work = _load_work(config, pair)
-    matrix = work.numeric_matrix()
-    if reducer == "none":
-        model, reduced_data = None, matrix
-    else:
-        model, reduced = fit_reducer(reducer, matrix, config, config.seed)
-        reduced_data = reduced.data
-    k = reduced_data.shape[1]
+    model, reduced = fit_reducer(reducer, work, config, config.seed)
 
     out_dir = _out_dir(args)
     out_path = out_dir / f"{ds.name}_{reducer}_reduced.csv"
-    rows = [[f"c{i + 1}" for i in range(k)]] + reduced_data.tolist()
+    rows = [[f"c{i + 1}" for i in range(reduced.k)]] + reduced.data.tolist()
     write_texts(out_dir, {out_path.name: _delimited(rows, sep=",")})
     if args.save_model:
         save_model(model, args.save_model)
-    print(f"{ds.name}: {reducer} reduced {ds.n_regular} -> {k} attributes, wrote {out_path}")
+    print(
+        f"{ds.name}: {reducer} reduced {ds.n_regular} -> {reduced.k} attributes, wrote {out_path}"
+    )
     return 0
 
 
@@ -261,15 +257,8 @@ def cmd_cluster(args):
     config.datasets = [pair]
     _validate_usage(config)
     ds, work = _load_work(config, pair)
-
-    if reducer == "none":
-        assignment = dbscan(
-            work.feature_rows(), eps=config.eps, min_pts=config.min_pts,
-            schema=work.distance_schema(),
-        )
-    else:
-        _, reduced = fit_reducer(reducer, work.numeric_matrix(), config, config.seed)
-        assignment = dbscan(reduced.data, eps=config.eps, min_pts=config.min_pts)
+    _, reduced = fit_reducer(reducer, work, config, config.seed)
+    assignment = dbscan(reduced.data, eps=config.eps, min_pts=config.min_pts, schema=reduced.schema)
 
     rows = [["row", "cluster", "role"]]
     rows += zip(range(assignment.n_examples), assignment.labels.tolist(), assignment.roles.tolist())

@@ -17,6 +17,7 @@ import numpy as np
 
 from .density import NOISE, DistanceSchema, pairwise_distances
 from .errors import DatasetParseError, InvalidConfigError, InvalidInputError, SchemaError
+from .reducers.base import ReducedDataset
 
 KINDS = ("numeric", "nominal")
 ROLES = ("regular", "id", "label")
@@ -127,6 +128,12 @@ def read_schema(path):
         raise SchemaError(f"schema {path} must declare 'name' and 'columns'")
     if not isinstance(raw["name"], str):
         raise SchemaError(f"schema {path}: 'name' must be a string, got {raw['name']!r}")
+    # output files are named after the dataset, so the name must stay inside --out
+    if raw["name"] in ("", ".", "..") or any(sep in raw["name"] for sep in "/\\"):
+        raise SchemaError(
+            f"schema {path}: 'name' must be a plain file name, without / or \\, "
+            f"got {raw['name']!r}"
+        )
     if not isinstance(raw["columns"], list):
         raise SchemaError(f"schema {path}: 'columns' must be a list, got {raw['columns']!r}")
     columns = []
@@ -293,8 +300,8 @@ def data_to_similarity(data, schema=None):
     """
     if isinstance(data, Dataset):
         dist = pairwise_distances(data.feature_rows(), data.distance_schema())
-    elif hasattr(data, "data"):  # ReducedDataset
-        dist = pairwise_distances(data.data, None)
+    elif isinstance(data, ReducedDataset):
+        dist = pairwise_distances(data.data, data.schema)
     else:
         dist = pairwise_distances(data, schema)
     sim = 1.0 / (1.0 + dist)

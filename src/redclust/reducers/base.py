@@ -1,34 +1,30 @@
-"""Shared output type for all four reducers."""
+"""Shared output type for all four reducers and the unreduced table."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..density import DistanceSchema
 from ..errors import InvalidInputError
 
 
 @dataclass
 class ReducedDataset:
-    """Rows mapped into a reduced coordinate space.
+    """DBSCAN's input: rows as a float matrix, with the schema that measures them.
 
-    ``k`` is the retained dimension count, ``original_dim`` the input width
-    it came from.
+    ``schema`` is None for reduced coordinates, which are all numeric; the
+    unreduced table keeps its regular columns' DistanceSchema, nominal cells
+    holding sorted-level codes. ``k`` is the column count.
     """
 
     data: np.ndarray  # (n, k)
-    reducer: str
-    k: int
-    original_dim: int
+    schema: DistanceSchema | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2:
             raise InvalidInputError("reduced data must be 2-D")
-        if self.data.shape[1] != self.k:
-            raise InvalidInputError(
-                f"reduced data has {self.data.shape[1]} columns, expected k={self.k}"
-            )
-        if self.k > self.original_dim:
-            raise InvalidInputError(
-                f"retained dimension {self.k} exceeds original dimension {self.original_dim}"
-            )
+
+    @property
+    def k(self):
+        return self.data.shape[1]

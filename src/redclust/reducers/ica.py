@@ -145,10 +145,4 @@ def fastica_transform(model, x):
         raise InvalidInputError(
             f"input has {x.shape[1]} columns, model expects {model.original_dim}"
         )
-    y = (x - model.mean) @ model.whitening.T @ model.unmixing.T
-    return ReducedDataset(
-        data=y,
-        reducer="fastica",
-        k=model.n_components,
-        original_dim=model.original_dim,
-    )
+    return ReducedDataset((x - model.mean) @ model.whitening.T @ model.unmixing.T)

@@ -95,12 +95,7 @@ def pca_encode(model, x):
         raise InvalidInputError(
             f"input has {x.shape[1]} columns, model expects {model.original_dim}"
         )
-    return ReducedDataset(
-        data=(x - model.mean) @ model.basis,
-        reducer="pca",
-        k=model.retained,
-        original_dim=model.original_dim,
-    )
+    return ReducedDataset((x - model.mean) @ model.basis)
 
 
 def pca_reconstruct(model, reduced):
@@ -125,9 +120,4 @@ def svd_reduce(x, k):
         raise InvalidConfigError(f"k must be in [1, {min(x.shape)}], got {k}")
     centered, _ = center(x)
     factors = svd(centered)
-    return ReducedDataset(
-        data=factors.u[:, :k] * factors.s[:k],
-        reducer="svd",
-        k=int(k),
-        original_dim=x.shape[1],
-    )
+    return ReducedDataset(factors.u[:, :k] * factors.s[:k])

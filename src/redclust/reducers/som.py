@@ -144,10 +144,4 @@ def som_encode(grid, x):
             f"input has {x.shape[1]} columns, codebook expects {grid.codebook.shape[1]}"
         )
     distances = _squared_distances(x, grid.codebook)
-    # a 1-D input still yields two grid coordinates; keep the dim bound consistent
-    return ReducedDataset(
-        data=grid.grid_coords()[np.argmin(distances, axis=1)],
-        reducer="som",
-        k=2,
-        original_dim=max(x.shape[1], 2),
-    )
+    return ReducedDataset(grid.grid_coords()[np.argmin(distances, axis=1)])

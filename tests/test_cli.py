@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,22 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_table(directory, name, header, rows, kinds=None, schema_name=None):
+    """Write ``rows`` as CSV plus its schema (numeric unless ``kinds`` says); return both paths."""
+    data = directory / f"{name}.csv"
+    data.write_text("\n".join(",".join(map(str, row)) for row in [header, *rows]) + "\n")
+    kinds = kinds or ["numeric"] * len(header)
+    schema = directory / f"{name}.schema.json"
+    schema.write_text(json.dumps({
+        "name": name if schema_name is None else schema_name,
+        "columns": [{"name": n, "kind": k} for n, k in zip(header, kinds)],
+    }))
+    return str(data), str(schema)
+
+
+MIXED_ROWS = [[1, 2, "x"], [1.5, 2.5, "y"], [3, 1, "x"], [2, 2, "z"], [0, 1, "y"]]
 
 
 class TestUsage:
@@ -159,8 +176,8 @@ class TestReduce:
         rows = (out / "tiny_pca_reduced.csv").read_text().splitlines()[1:]
         written = np.array([[float(v) for v in row.split(",")] for row in rows])
         config = BenchmarkConfig(pca_k=2)
-        matrix = normalize(load_dataset(*tiny_pair)).numeric_matrix()
-        expected = fit_reducer("pca", matrix, config, config.seed)[1].data
+        work = normalize(load_dataset(*tiny_pair))
+        expected = fit_reducer("pca", work, config, config.seed)[1].data
         assert written.shape == expected.shape
         assert written.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
 
@@ -189,6 +206,33 @@ class TestReduce:
         assert code == 0
         assert (out / "tiny_pca_reduced.csv").read_text().splitlines()[0] == "c1,c2"
         assert "3 -> 2" in stdout
+
+    def test_none_writes_every_regular_column_as_bench_counts_it(self, capsys, tmp_path):
+        pair = write_table(
+            tmp_path, "mixed", ["a", "b", "c"], MIXED_ROWS, kinds=["numeric", "numeric", "nominal"]
+        )
+        out = tmp_path / "red"
+        code, stdout, err = run(
+            ["reduce", "--dataset", pair[0], "--schema", pair[1],
+             "--reducer", "none", "--no-normalize", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0, err
+        assert "3 -> 3" in stdout
+        lines = (out / "mixed_none_reduced.csv").read_text().splitlines()
+        assert lines[0] == "c1,c2,c3"
+        # numeric cells as read, nominal cells as sorted-level codes (x, y, z -> 0, 1, 2)
+        assert [line.split(",")[2] for line in lines[1:]] == ["0.0", "1.0", "0.0", "2.0", "1.0"]
+        assert lines[1] == "1.0,2.0,0.0"
+
+        code, _, err = run(
+            ["bench", "--dataset", pair[0], "--schema", pair[1],
+             "--reducer", "none", "--no-normalize", "--out", str(tmp_path / "bench")],
+            capsys,
+        )
+        assert code == 0, err
+        report = json.loads((tmp_path / "bench" / "raw" / "report.json").read_text())
+        assert [c["attribute_count"] for c in report["cells"]] == [3]
 
     @pytest.mark.parametrize("reducer", ["svd", "none"])
     def test_save_model_rejected_without_model(self, capsys, tiny_pair, tmp_path, reducer):
@@ -256,6 +300,35 @@ class TestCluster:
         summary = json.loads((out / "tiny_clustering.json").read_text())
         assert summary["reducer"] == "svd"
         assert summary["performance_1_clusters"] == 2
+
+    def test_none_on_all_nominal_table(self, capsys, tmp_path):
+        rows = [["x", "p"], ["y", "q"], ["x", "p"], ["x", "p"], ["x", "q"], ["x", "p"]]
+        pair = write_table(tmp_path, "nominal", ["c", "d"], rows, kinds=["nominal"] * 2)
+        out = tmp_path / "cl"
+        code, stdout, err = run(
+            ["cluster", "--dataset", pair[0], "--schema", pair[1], "--out", str(out)],
+            capsys,
+        )
+        assert code == 0, err
+        summary = json.loads((out / "nominal_clustering.json").read_text())
+        assert summary["performance_1_clusters"] == 1
+        assert summary["noise_count"] == 0
+
+    @pytest.mark.parametrize("command", ["cluster", "bench"])
+    def test_name_with_a_path_is_rejected(self, capsys, tmp_path, tiny_pair, command):
+        rows = np.loadtxt(tiny_pair[0], delimiter=",", skiprows=1).tolist()
+        pair = write_table(tmp_path, "t", ["x1", "x2", "x3"], rows, schema_name="../escaped")
+        out = tmp_path / "out" / "cl"
+        code, stdout, err = run(
+            [command, "--dataset", pair[0], "--schema", pair[1], "--reducer", "svd",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'name'" in err
+        assert not (tmp_path / "out").exists()  # neither --out nor its parent got a file
+        assert stdout == ""
 
 
 class TestConfigPrecedence:
@@ -438,6 +511,61 @@ class TestBench:
         for variant in ("normalized", "raw"):
             report = json.loads((out / variant / "report.json").read_text())
             assert [c["attribute_count"] for c in report["cells"]] == [2]
+
+    def test_duplicate_dataset_names_rejected(self, capsys, tiny_pair, tmp_path):
+        rows = np.loadtxt(tiny_pair[0], delimiter=",", skiprows=1).tolist()
+        other = write_table(tmp_path, "other", ["x1", "x2", "x3"], rows[:30], schema_name="tiny")
+        out = tmp_path / "bench"
+        code, stdout, err = run(
+            ["bench", "--dataset", tiny_pair[0], "--schema", tiny_pair[1],
+             "--dataset", other[0], "--schema", other[1], "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'tiny'" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "header, rows, kinds",
+        [
+            (["a", "b"], [[1, 2]], None),
+            (["c", "d"], [["x", "p"], ["y", "q"], ["x", "p"]], ["nominal", "nominal"]),
+        ],
+        ids=["one-row", "no-numeric-column"],
+    )
+    def test_sweep_failure_is_error_rows(self, capsys, tmp_path, header, rows, kinds):
+        pair = write_table(tmp_path, "odd", header, rows, kinds=kinds)
+        out = tmp_path / "bench"
+        code, stdout, err = run(
+            ["bench", "--dataset", pair[0], "--schema", pair[1], "--out", str(out)], capsys
+        )
+        assert code == 0, err
+        sweep = [line.split("\t") for line in
+                 (out / "pca_threshold_sweep.tsv").read_text().splitlines()[1:]]
+        assert [row[0] for row in sweep] == ["odd"] * 4
+        assert all(row[2] == "ERROR" and row[4] == "false" for row in sweep)
+        assert (out / "pca_threshold_summary.tsv").read_text() == (
+            "dataset\tmatching_thresholds\nodd\tnone\n"
+        )
+        assert (out / "attribute_comparison.tsv").is_file()
+        assert (out / "cluster_comparison.tsv").is_file()
+        assert "reports written under" in stdout
+
+    def test_timing_check(self, capsys, tiny_pair, tmp_path):
+        code, stdout, err = run(
+            ["bench", "--dataset", tiny_pair[0], "--schema", tiny_pair[1], "--reducer", "svd",
+             "--timing-check", "--out", str(tmp_path / "bench")],
+            capsys,
+        )
+        assert code == 0, err
+        assert re.search(
+            r"^paired DBSCAN timing on tiny: svd\(k=1\) median \d+\.\d ms "
+            r"vs unreduced \d+\.\d ms$",
+            stdout,
+            re.MULTILINE,
+        )
 
     def test_mismatched_dataset_schema_counts(self, capsys, tiny_pair, tmp_path):
         code, _, err = run(

@@ -14,12 +14,13 @@ from redclust.dataset import (
     normalize,
     read_schema,
 )
-from redclust.density import dbscan, mixed_euclidean
+from redclust.density import DistanceSchema, dbscan, mixed_euclidean
 from redclust.errors import (
     DatasetParseError,
     InvalidConfigError,
     SchemaError,
 )
+from redclust.reducers import ReducedDataset
 
 
 def write_dataset(tmp_path, name, header, rows, columns, expected_rows=None):
@@ -157,6 +158,21 @@ class TestLoadDataset:
             read_schema(s)
         assert str(s) in str(info.value) and field in str(info.value)
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "/abs", "a\\b"])
+    def test_name_must_be_a_file_name(self, tmp_path, name):
+        # output files are named after the dataset; a path in the name escapes --out
+        s = tmp_path / "s.json"
+        s.write_text(json.dumps({"name": name, "columns": [{"name": "a"}]}))
+        with pytest.raises(SchemaError) as info:
+            read_schema(s)
+        assert str(s) in str(info.value) and "'name'" in str(info.value)
+
+    @pytest.mark.parametrize("name", ["e-coli", "a.b", "...", "x y"])
+    def test_plain_names_accepted(self, tmp_path, name):
+        s = tmp_path / "s.json"
+        s.write_text(json.dumps({"name": name, "columns": [{"name": "a"}]}))
+        assert read_schema(s)["name"] == name
+
     def test_column_spec_validation(self):
         with pytest.raises(SchemaError):
             ColumnSpec(name="a", kind="weird")
@@ -210,6 +226,15 @@ class TestSimilarity:
         sim = data_to_similarity(x)
         assert sim.values[0, 1] == pytest.approx(0.5)
         assert sim.values[0, 0] == 1.0
+
+    def test_matrix_honours_schema(self):
+        # a coded matrix with a nominal column: codes 0 and 2 differ by 1, not 2
+        x = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+        schema = DistanceSchema(("numeric", "nominal"))
+        expected = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
+        assert np.array_equal(data_to_similarity(x, schema).values, expected)
+        assert np.array_equal(data_to_similarity(ReducedDataset(x, schema)).values, expected)
+        assert data_to_similarity(x).values[0, 2] == pytest.approx(1.0 / 3.0)
 
     @pytest.mark.parametrize("n", [10, 50])
     def test_matches_double_loop_oracle(self, n):

@@ -180,5 +180,4 @@ class TestSvdReduce:
         out = svd_reduce(x, k=1)
         assert out.k == 1
         assert out.data.shape == (9, 1)
-        assert out.reducer == "svd"
-        assert out.original_dim == 5
+        assert out.schema is None  # reduced coordinates are all numeric
