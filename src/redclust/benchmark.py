@@ -240,8 +240,8 @@ def _plot_points(coords, assignment):
     return list(zip(xs, ys, labels.tolist(), (labels == NOISE).astype(int).tolist()))
 
 
-def _run_cell(ds, work, reducer, config, seed):
-    cell = BenchmarkCell(dataset=ds.name, reducer=reducer)
+def _run_cell(work, reducer, config, seed):
+    cell = BenchmarkCell(dataset=work.name, reducer=reducer)
     try:
         t0 = time.perf_counter()
         model, reduced = fit_reducer(reducer, work, config, seed)
@@ -282,30 +282,35 @@ def _run_cell(ds, work, reducer, config, seed):
     return cell
 
 
-def run_benchmark(config, datasets=None):
+def _working_tables(datasets, normalized):
+    """The tables a variant's grid runs on: the loaded datasets, z-normalized when ``normalized``."""
+    return [normalize(ds) for ds in datasets] if normalized else datasets
+
+
+def run_benchmark(config, tables=None):
     """Populate the full (dataset x reducer) grid for one normalization variant.
 
-    ``datasets`` are config.datasets already loaded by load_config_datasets;
-    they are loaded here when not given.
+    ``tables`` are the variant's working tables: config.datasets, loaded
+    and z-normalized when config.normalize (``_working_tables``). They are
+    made here when not given.
     """
     config.validate()
-    if datasets is None:
-        datasets = load_config_datasets(config)
+    if tables is None:
+        tables = _working_tables(load_config_datasets(config), config.normalize)
     cells = {}
     warnings = []
-    for di, ds in enumerate(datasets):
-        work = normalize(ds) if config.normalize else ds
+    for di, work in enumerate(tables):
         for ri, reducer in enumerate(config.reducers):
             seed = _derive_seed(config.seed, di, ri)
-            cell = _run_cell(ds, work, reducer, config, seed)
-            cells[(ds.name, reducer)] = cell
+            cell = _run_cell(work, reducer, config, seed)
+            cells[(work.name, reducer)] = cell
             if cell.failed:
-                warnings.append(f"cell ({ds.name}, {reducer}) failed: {cell.error}")
+                warnings.append(f"cell ({work.name}, {reducer}) failed: {cell.error}")
             elif cell.reducer_converged is False:
-                warnings.append(f"cell ({ds.name}, {reducer}): reducer hit its iteration cap")
+                warnings.append(f"cell ({work.name}, {reducer}): reducer hit its iteration cap")
     return BenchmarkReport(
         cells=cells,
-        dataset_names=[ds.name for ds in datasets],
+        dataset_names=[work.name for work in tables],
         config=config,
         normalized=config.normalize,
         warnings=warnings,
@@ -416,24 +421,24 @@ def emit_report(report, out_dir):
     write_texts(out_dir, files)
 
 
-def pca_threshold_sweep(datasets, config):
-    """Retained PCA dimensions per dataset for each sweep threshold.
+def pca_threshold_sweep(tables):
+    """Retained PCA dimensions per table for each sweep threshold.
 
-    Rows: (dataset, threshold, retained, reference, match). The sweep runs
-    on the same normalization variant the canonical comparison uses. It
-    fits PCA once per table and reads every threshold's count from that
-    fit's eigenvalues, the count ``pca_fit(variance_threshold=t)`` keeps.
-    A table PCA cannot fit gets "ERROR" rows, as a failed grid cell does.
+    Rows: (dataset, threshold, retained, reference, match). ``tables`` are
+    the working tables of the normalization variant the canonical
+    comparison uses (``_working_tables``). The sweep fits PCA once per
+    table and reads every threshold's count from that fit's eigenvalues,
+    the count ``pca_fit(variance_threshold=t)`` keeps. A table PCA cannot
+    fit gets "ERROR" rows, as a failed grid cell does.
     """
     rows = []
-    for ds in datasets:
-        work = normalize(ds) if config.normalize else ds
+    for work in tables:
         try:
             matrix = work.numeric_matrix()
             eigenvalues = pca_fit(matrix, k=matrix.shape[1]).eigenvalues
         except RedclustError:  # a table PCA cannot fit must not end the bench after its grid ran
             eigenvalues = None
-        reference = REFERENCE_ATTRIBUTE_COUNTS["pca"].get(ds.name)
+        reference = REFERENCE_ATTRIBUTE_COUNTS["pca"].get(work.name)
         for threshold in PCA_SWEEP_THRESHOLDS:
             if eigenvalues is None:
                 retained = "ERROR"
@@ -441,7 +446,7 @@ def pca_threshold_sweep(datasets, config):
                 retained = retained_for_threshold(eigenvalues, threshold)
             rows.append(
                 {
-                    "dataset": ds.name,
+                    "dataset": work.name,
                     "threshold": threshold,
                     "retained": retained,
                     "reference": reference,
@@ -522,14 +527,15 @@ def run_full_benchmark(config, out_dir):
     out_dir = Path(out_dir)
     write_texts(out_dir, {})  # an unusable --out fails before any cell runs
 
-    reports = {}
     variants = [True, False] if config.normalize else [False]
+    tables = {normalized: _working_tables(datasets, normalized) for normalized in variants}
+    reports = {}
     for normalized in variants:
-        report = run_benchmark(replace(config, normalize=normalized), datasets)
+        report = run_benchmark(replace(config, normalize=normalized), tables[normalized])
         reports["normalized" if normalized else "raw"] = report
         emit_report(report, out_dir / ("normalized" if normalized else "raw"))
 
-    sweep_rows = pca_threshold_sweep(datasets, config)
+    sweep_rows = pca_threshold_sweep(tables[config.normalize])
     write_comparison_files(
         out_dir, reports.get("normalized"), reports.get("raw"), sweep_rows
     )
@@ -542,7 +548,7 @@ def paired_dbscan_timing(ds, config, repetitions=11):
     Runs the pairs back to back so the comparison sees the same machine
     state; returns (median_reduced_ms, median_unreduced_ms).
     """
-    work = normalize(ds) if config.normalize else ds
+    work = _working_tables([ds], config.normalize)[0]
     config = replace(config, svd_k=1)
     _, reduced = fit_reducer("svd", work, config, config.seed)
     _, unreduced = fit_reducer("none", work, config, config.seed)

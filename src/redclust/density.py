@@ -21,12 +21,22 @@ nominal), so the eps-graph equals the all-pairs one bit for bit, with its
 rows permuted. Seeds are scanned in the original row order, so cluster
 ids, border ties and roles do not depend on the sort.
 
-DBSCAN never materialises a float n x n matrix. It accumulates squared
-distances for a fixed block of rows at a time, each pair once, and keeps
-only the eps-graph, packed one bit per pair: row i holds its neighbours in
-ceil(n/8) bytes, 1.1 MB at 3000 rows, where one float distance matrix
-takes 72 MB. ``pairwise_distances`` fills its full float matrix from the
-same blocks, so both follow one distance rule.
+DBSCAN never materialises a float n x n matrix. It decides the pairs of a
+block of rows at a time, over the whole window of the block's rows,
+and keeps only the eps-graph, packed one bit per pair: row i holds its
+neighbours in ceil(n/8) bytes, 1.1 MB at 3000 rows, where one float
+distance matrix takes 72 MB. A block's pairs come from matrix products of
+augmented rows (``_augmented``): the centred numeric columns with their
+squared norms, and each nominal column one-hot coded, give a product g
+within a proved band ``_band`` of q. A pair with g <= t - delta is a
+neighbour, one with g > t + delta is not, and the few pairs inside the band
+are decided by ``_column_sums``, the per-pair rule above (numeric columns
+in order, then nominal mismatches). So the eps-graph stays the all-pairs
+one bit for bit. A table whose band is not finite, or whose nominal
+columns take more than ``_ONE_HOT_COLUMNS`` one-hot columns in all, takes
+``_column_sums`` for every pair.
+``pairwise_distances`` fills its full float matrix from ``_column_sums``
+as well, so both follow one distance rule.
 
 A table of exactly one numeric column and no nominal ones needs no graph.
 There q is fl(fl(a - b)^2), and rounding is monotone, so with the rows
@@ -48,10 +58,33 @@ NOISE = -1
 NUMERIC = "numeric"
 NOMINAL = "nominal"
 
-# rows of squared distances held at once; 32, 64 and 128 rows time alike
-# on 3000 rows, 256 is slower. Keep it a multiple of 8: every block then
-# starts on a byte boundary of the packed eps-graph.
+# A block of rows holds a bool per pair of its rows' window. It takes as
+# many rows as give _BLOCK_PAIRS pairs against the whole table, and at least
+# _BLOCK_ROWS: few large blocks save per-block set-up on small tables.
 _BLOCK_ROWS = 64
+_BLOCK_PAIRS = 2**16
+
+# Multiply-adds per matrix product call, whose float results are compared
+# at once. OpenBLAS splits larger products across threads, and at these
+# sizes the hand-offs cost more than they save: on a loaded 2-vCPU machine
+# they stalled DBSCAN by milliseconds per call.
+_PRODUCT_SIZE = 2**18
+
+# Nominal columns of more levels in all make every block take
+# ``_column_sums``. One-hot coding costs a multiply-add per level and pair
+# and two n x levels float arrays. Timed on tall-like tables (5 numeric
+# columns and one nominal column, eps 1, 336 to 3000 rows, 2-vCPU machine),
+# the products stayed faster up to 64 levels and were slower at 128, while
+# their tracemalloc peak passed the column sums' between 32 and 40 levels
+# at 1000 and 3000 rows; so memory sets the cut-over.
+_ONE_HOT_COLUMNS = 32
+
+_UNIT_ROUNDOFF = 2.0**-53
+_TINIEST = 2.0**-1074  # the smallest subnormal double
+
+# set bits of each byte value
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+_POPCOUNT = _POPCOUNT.sum(axis=1, dtype=np.uint8)
 
 _ROLES = ("noise", "border", "core")
 
@@ -145,38 +178,49 @@ def _distance_inputs(data, schema):
     return table[:, ~nominal], table[:, nominal]
 
 
+def _column_sums(numeric, nominal, rows, cols, q, diff):
+    """Write into ``q`` the squared mixed distances between ``rows`` and ``cols``.
+
+    ``rows`` and ``cols`` index the rows of ``numeric`` and ``nominal`` and
+    broadcast to ``q``'s shape: slices with a new axis for a block, or
+    index arrays for single pairs. Sums run column by column, numeric
+    columns first (d = a - b; d *= d; q += d), then nominal mismatches,
+    with ``diff`` as scratch. Each element takes the same operations in
+    the same order whatever the shape, so a pair gets the same bits in a
+    block and on its own. The distance is symmetric bit for bit, since
+    a - b is exactly -(b - a) in IEEE arithmetic.
+    """
+    q.fill(0.0)
+    for col in numeric.T:
+        np.subtract(col[rows], col[cols], out=diff)
+        diff *= diff
+        q += diff
+    for col in nominal.T:
+        np.not_equal(col[rows], col[cols], out=diff)
+        q += diff
+
+
 def _squared_blocks(numeric, nominal, ends):
     """Yield (start, stop, end, squared distances from rows start:stop to rows start:end).
 
     ``ends[i]`` is the exclusive bound of row i's candidate columns,
     non-decreasing in i; a block covers the columns up to its last row's
-    bound. Sums run column by column, numeric columns first, then nominal
-    mismatches. The distance is symmetric bit for bit, since a - b is
-    exactly -(b - a) in IEEE arithmetic, so each block covers only the
-    columns from ``start`` on and callers mirror it below the diagonal.
+    bound, from ``start`` on, and callers mirror it below the diagonal.
     The yielded block is a reused buffer, valid until the next step.
     """
     n = numeric.shape[0]
     blocks = [(start, min(n, start + _BLOCK_ROWS)) for start in range(0, n, _BLOCK_ROWS)]
     blocks = [(start, stop, int(ends[stop - 1])) for start, stop in blocks]
     size = max((stop - start) * (end - start) for start, stop, end in blocks)
-    sq_buf, diff_buf, mismatch_buf = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    sq_buf, diff_buf = np.empty(size), np.empty(size)
     for start, stop, end in blocks:
         shape = (stop - start, end - start)
         used = shape[0] * shape[1]
         q = sq_buf[:used].reshape(shape)
-        d = diff_buf[:used].reshape(shape)
-        m = mismatch_buf[:used].reshape(shape)
-        q.fill(0.0)
-        for j in range(numeric.shape[1]):
-            col = numeric[:, j]
-            np.subtract(col[start:stop, None], col[None, start:end], out=d)
-            d *= d
-            q += d
-        for j in range(nominal.shape[1]):
-            col = nominal[:, j]
-            np.not_equal(col[start:stop, None], col[None, start:end], out=m)
-            q += m
+        _column_sums(
+            numeric, nominal, np.s_[start:stop, None], np.s_[None, start:end], q,
+            diff_buf[:used].reshape(shape),
+        )
         yield start, stop, end, q
 
 
@@ -248,6 +292,160 @@ def _sweep_order(numeric, t):
     return order, lo, hi
 
 
+def _augmented(numeric, nominal):
+    """(left, right, norms) rows whose products approximate q, or None.
+
+    With x a row's centred numeric columns, N its squared norm and e(v) the
+    one-hot code of a nominal cell v, left_i = [-2 x_i, 1, N_i, 1 - e(v_i)]
+    and right_j = [x_j, N_j, 1, e(v_j)], so left_i . right_j is
+    N_i + N_j - 2 x_i . x_j plus one per mismatched nominal column: the
+    squared mixed distance up to rounding (``_band``). None when the
+    nominal columns have more than ``_ONE_HOT_COLUMNS`` levels in all.
+    """
+    codes = [np.unique(col, return_inverse=True)[1].reshape(-1) for col in nominal.T]
+    levels = [int(c.max()) + 1 for c in codes]
+    if sum(levels) > _ONE_HOT_COLUMNS:
+        return None
+    n, p = numeric.shape
+    # columns near the double range can overflow here; an inf or NaN norm
+    # makes the band inf, and every pair then takes the column sums
+    left = np.empty((n, p + 2 + sum(levels)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = numeric - numeric.mean(axis=0)
+        norms = np.einsum("ij,ij->i", centred, centred)
+        np.multiply(centred, -2.0, out=left[:, :p])
+    right = np.zeros_like(left)
+    right[:, :p] = centred
+    right[:, p] = norms
+    right[:, p + 1] = 1.0
+    offset = p + 2
+    for code, count in zip(codes, levels):
+        right[np.arange(n), offset + code] = 1.0
+        offset += count
+    left[:, p] = 1.0
+    left[:, p + 1] = norms
+    np.subtract(1.0, right[:, p + 2:], out=left[:, p + 2:])
+    return left, right, norms
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): the relative error of k roundings."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _band(t, largest_norm, p, r, width):
+    """delta such that q <= t gives g <= t + delta and q > t gives g >= t - delta, or inf.
+
+    g is a pair's product of ``_augmented`` rows of length K = ``width``,
+    q its ``_column_sums`` value, p and r the numeric and nominal column
+    counts, and ``largest_norm`` the largest norm N over the table's rows.
+    Let u = 2^-53, gamma_k = k u / (1 - k u), D the exact squared mixed
+    distance of the two rows and c their nominal mismatches.
+
+    - q: each numeric term fl(fl(a - b)^2) has two relative roundings and,
+      below the normal range, at most 2^-1075 absolute; summing p + r
+      non-negative terms adds at most p + r - 1 relative roundings. So
+      (1 - gamma_m) D - p 2^-1075 <= q <= (1 + gamma_m) D + p 2^-1075 (1 + gamma_m)
+      with m = p + r + 2, and q <= t gives D <= T = (t + p 2^-1074) / (1 - gamma_m)
+      while q > t gives D > t - (T - t).
+    - N: p rounded squares summed in any order, so |N - |x|^2| <=
+      gamma_p |x|^2 + p 2^-1074, and every row has |x|^2 <=
+      X = (largest_norm + p 2^-1074) / (1 - gamma_p).
+    - centring: x = fl(a - mu) = (a - mu) / (1 + e) with |e| <= u moves
+      each row by at most u |x|, so sqrt of the numeric part of
+      D~ = |x_i - x_j|^2 + c is within rho = 2 u sqrt(X) of sqrt of D's.
+      Then D <= T gives D~ <= (sqrt(D) + rho)^2 <= T + rho (2 sqrt(T) + rho);
+      and y -> (sqrt(y) - rho)^2, taken as 0 below rho^2, has slope at most 1,
+      so D > t - (T - t) gives D~ >= t - (T - t) - rho (2 sqrt(T) + rho).
+    - the product: g rounds a sum of K products, in any order, blocking
+      or thread split and with or without fused multiply-adds, so it is
+      within gamma_K sum |left_k right_k| + K 2^-1074 (underflow) of the
+      exact product (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2002, sec. 3.1). That product is D~ + (N_i - |x_i|^2) +
+      (N_j - |x_j|^2), and sum |left_k right_k| = 2 sum |x_ik x_jk| + N_i +
+      N_j + c <= 4 X + r.
+
+    So delta = (T - t) + rho (2 sqrt(T) + rho) + gamma_K (4 X + r) +
+    2 gamma_p X + (K + 2 p) 2^-1074 gives q <= t => g <= t + delta and
+    q > t => g >= t - delta. The factor 1 + 2^-40 and the 2^-1071 cover the
+    rounding and underflow of evaluating it. Where 4 X + r exceeds 2^1020
+    (or is NaN) the product could overflow, and the band is inf.
+    """
+    gamma_m = _gamma(p + r + 2)
+    x = (largest_norm + p * _TINIEST) / (1.0 - _gamma(p))
+    if not 4.0 * x + r <= 2.0**1020:
+        return math.inf
+    rho = 2.0 * _UNIT_ROUNDOFF * math.sqrt(x)
+    over_t = (gamma_m * t + p * _TINIEST) / (1.0 - gamma_m)  # T - t
+    delta = (
+        over_t
+        + rho * (2.0 * math.sqrt(t + over_t) + rho)
+        + _gamma(width) * (4.0 * x + r)
+        + 2.0 * _gamma(p) * x
+        + (width + 2 * p) * _TINIEST
+    )
+    return delta * (1.0 + 2.0**-40) + 2.0**-1071
+
+
+def _near_blocks(numeric, nominal, t, lo, hi):
+    """Yield (start, stop, first, near): which pairs of a block of rows are eps-neighbours.
+
+    ``numeric`` and ``nominal`` are in key order with windows ``lo:hi``.
+    A block covers rows start:stop and the columns of its rows' windows,
+    from ``first`` = 8 * (lo[start] // 8), a byte boundary of the packed
+    graph, to hi[stop - 1]; no pair outside those columns is a neighbour.
+    ``near[i, j]`` equals q <= t for rows start + i and first + j, from the
+    ``_augmented`` product where it lies outside the ``_band`` and from
+    ``_column_sums`` where it does not. The yielded block is a reused
+    buffer, valid until the next step.
+    """
+    n = numeric.shape[0]
+    height = max(_BLOCK_ROWS, _BLOCK_PAIRS // n)
+    blocks = [(start, min(n, start + height)) for start in range(0, n, height)]
+    blocks = [(start, stop, 8 * (int(lo[start]) // 8), int(hi[stop - 1])) for start, stop in blocks]
+    size = max((stop - start) * (end - first) for start, stop, first, end in blocks)
+    widest = max(end - first for _, _, first, end in blocks)
+    near_buf = np.empty(size, dtype=bool)
+    augmented = _augmented(numeric, nominal)
+    delta = math.inf
+    if augmented is not None:
+        left, right, norms = augmented
+        delta = _band(t, float(norms.max()), numeric.shape[1], nominal.shape[1], left.shape[1])
+        # one step outward keeps both tests strict through the rounding of t -/+ delta
+        below = math.nextafter(t - delta, -math.inf)
+        above = math.nextafter(t + delta, math.inf)
+        step = min(widest, max(8, _PRODUCT_SIZE // left[:height].size))  # columns per product
+        products = np.empty(left[:height].shape[0] * step)
+    for start, stop, first, end in blocks:
+        shape = (stop - start, end - first)
+        used = shape[0] * shape[1]
+        near = near_buf[:used].reshape(shape)
+        if delta == math.inf:
+            q = np.empty(shape)
+            _column_sums(
+                numeric, nominal, np.s_[start:stop, None], np.s_[None, first:end], q,
+                np.empty(shape),
+            )
+            np.less_equal(q, t, out=near)
+            yield start, stop, first, near
+            continue
+        rows = left[start:stop]
+        for j in range(0, shape[1], step):
+            window = right[first + j:min(end, first + j + step)]
+            g = products[:shape[0] * window.shape[0]].reshape(shape[0], window.shape[0])
+            np.matmul(rows, window.T, out=g)
+            chunk = near[:, j:j + step]
+            np.less_equal(g, above, out=chunk)
+            undecided = np.count_nonzero(chunk)
+            np.less_equal(g, below, out=chunk)
+            if np.count_nonzero(chunk) < undecided:  # some pairs lie inside the band
+                i, k = np.nonzero((g <= above) & ~chunk)
+                q = np.empty(i.size)
+                _column_sums(numeric, nominal, i + start, k + first + j, q, np.empty(i.size))
+                chunk[i, k] = q <= t
+        yield start, stop, first, near
+
+
 def _graph_clusters(numeric, nominal, t, min_pts, lo, hi, rank):
     """Labels and core flags, in key order, from the packed eps-graph.
 
@@ -258,18 +456,11 @@ def _graph_clusters(numeric, nominal, t, min_pts, lo, hi, rank):
     """
     n = numeric.shape[0]
     within = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    counts = np.zeros(n, dtype=np.intp)
-    near = np.empty(min(n, _BLOCK_ROWS) * n, dtype=bool)
-    for start, stop, end, sq in _squared_blocks(numeric, nominal, hi):
-        block = near[:sq.size].reshape(sq.shape)
-        np.less_equal(sq, t, out=block)
-        below = block[:, stop - start:]
-        # start is a multiple of 8, so the block's bits begin at byte start // 8;
-        # packing the mirror along axis 0 reads ``below`` row by row
-        within[start:stop, start // 8:(end + 7) // 8] = np.packbits(block, axis=1)
-        within[stop:end, start // 8:(stop + 7) // 8] = np.packbits(below, axis=0).T
-        counts[start:stop] += np.count_nonzero(block, axis=1)
-        counts[stop:end] += np.count_nonzero(below, axis=0)
+    counts = np.empty(n, dtype=np.intp)
+    for start, stop, first, near in _near_blocks(numeric, nominal, t, lo, hi):
+        packed = np.packbits(near, axis=1)
+        within[start:stop, first // 8:first // 8 + packed.shape[1]] = packed
+        counts[start:stop] = _POPCOUNT.take(packed).sum(axis=1, dtype=np.intp)
     is_core = counts >= min_pts
 
     # expand in key order, seeding from core rows in the original row order;

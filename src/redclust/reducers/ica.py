@@ -28,10 +28,18 @@ from .pca import covariance_eig
 
 _EIGENVALUE_FLOOR = 1e-12
 
-NONLINEARITIES = {
-    "tanh": (np.tanh, lambda y: 1.0 - np.tanh(y) ** 2),
-    "cube": (lambda y: y**3, lambda y: 3.0 * y**2),
-}
+
+def _tanh(y):
+    gy = np.tanh(y)
+    return gy, 1.0 - gy**2
+
+
+def _cube(y):
+    return y**3, 3.0 * y**2
+
+
+# name -> y -> (g(y), g'(y))
+NONLINEARITIES = {"tanh": _tanh, "cube": _cube}
 
 
 @dataclass
@@ -100,7 +108,7 @@ def fastica_fit(
     if max_iter < 1:
         raise InvalidConfigError(f"max_iter must be >= 1, got {max_iter}")
 
-    g, g_prime = NONLINEARITIES[nonlinearity]
+    contrast = NONLINEARITIES[nonlinearity]
     whitened, whitening, mean = _whiten(x, n_components)
 
     if w_init is None:
@@ -117,9 +125,9 @@ def fastica_fit(
     iteration = 0
     for iteration in range(1, max_iter + 1):
         y = whitened @ w.T  # rows are y = W x per sample
-        gy = g(y)
+        gy, g_prime_y = contrast(y)
         beta = -np.mean(y * gy, axis=0)
-        alpha = -1.0 / (beta - np.mean(g_prime(y), axis=0))
+        alpha = -1.0 / (beta - np.mean(g_prime_y, axis=0))
         correction = (np.diag(beta) + (gy.T @ y) / n) @ w
         w_new = orthogonalize(w + alpha[:, None] * correction)
         drift = np.max(np.abs(1.0 - np.abs(np.sum(w_new * w, axis=1))))

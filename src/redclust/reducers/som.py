@@ -57,15 +57,22 @@ def _decayed(start, floor, epoch, epochs):
     return max(floor, start * np.exp(-epoch / tau))
 
 
-def _squared_distances(x, codebook, out=None):
+def _row_terms(x):
+    """(2 x, |x_i|^2 as a column): the row terms of ``_squared_distances``."""
+    return 2.0 * x, np.sum(x * x, axis=1)[:, None]
+
+
+def _squared_distances(row_terms, codebook, out=None):
     """(rows, nodes) squared distances, written into ``out`` when given.
 
-    By the expanded square |x_i|^2 - (2 x_i) . c_j + |c_j|^2, which rounds
-    the same whether ``out`` is fresh or reused. Training reuses one buffer:
-    a fresh (rows, nodes) array per epoch costs more than the arithmetic.
+    By the expanded square |x_i|^2 - (2 x_i) . c_j + |c_j|^2, from the rows'
+    ``_row_terms``, which rounds the same whether ``out`` is fresh or
+    reused. Training computes the row terms once and reuses one buffer: a
+    fresh (rows, nodes) array per epoch costs more than the arithmetic.
     """
-    out = np.matmul(2.0 * x, codebook.T, out=out)
-    np.subtract(np.sum(x * x, axis=1)[:, None], out, out=out)
+    doubled, norms = row_terms
+    out = np.matmul(doubled, codebook.T, out=out)
+    np.subtract(norms, out, out=out)
     out += np.sum(codebook * codebook, axis=1)
     return out
 
@@ -77,7 +84,7 @@ def _mean_nearest(distances):
 
 def quantization_error(codebook, x):
     """Mean Euclidean distance from each row to its best-matching prototype."""
-    return _mean_nearest(_squared_distances(x, codebook))
+    return _mean_nearest(_squared_distances(_row_terms(x), codebook))
 
 
 def som_fit(x, width, height, epochs=100, radius0=None, seed=0):
@@ -116,7 +123,8 @@ def som_fit(x, width, height, epochs=100, radius0=None, seed=0):
     gd = coords[:, None, :] - coords[None, :, :]
     grid_sq = np.sum(gd * gd, axis=2)  # [b, j]: squared grid distance of node j from node b
 
-    distances = _squared_distances(x, codebook)
+    row_terms = _row_terms(x)
+    distances = _squared_distances(row_terms, codebook)
     qe_log = [_mean_nearest(distances)]
     for epoch in range(epochs):
         radius = _decayed(radius0, RADIUS_FLOOR, epoch, epochs)
@@ -127,7 +135,7 @@ def som_fit(x, width, height, epochs=100, radius0=None, seed=0):
         weight = h.T @ np.bincount(bmu, minlength=nodes).astype(float)
         moved = weight >= _TINY
         codebook[moved] = (h.T @ sums)[moved] / weight[moved, None]
-        qe_log.append(_mean_nearest(_squared_distances(x, codebook, out=distances)))
+        qe_log.append(_mean_nearest(_squared_distances(row_terms, codebook, out=distances)))
 
     grid.qe_log = qe_log
     return grid
@@ -143,5 +151,5 @@ def som_encode(grid, x):
         raise InvalidInputError(
             f"input has {x.shape[1]} columns, codebook expects {grid.codebook.shape[1]}"
         )
-    distances = _squared_distances(x, grid.codebook)
+    distances = _squared_distances(_row_terms(x), grid.codebook)
     return ReducedDataset(grid.grid_coords()[np.argmin(distances, axis=1)])

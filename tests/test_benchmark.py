@@ -304,9 +304,17 @@ class TestFullBenchmark:
         assert len(loads) == 1
         assert [r.dataset_names for r in reports.values()] == [["tiny"], ["tiny"]]
 
+    def test_each_table_normalized_once(self, monkeypatch, tmp_path, tiny_pair):
+        # the PCA sweep reads the normalized grid's tables instead of normalizing again
+        calls = []
+        norm = bench.normalize
+        monkeypatch.setattr(bench, "normalize", lambda ds: calls.append(ds.name) or norm(ds))
+        run_full_benchmark(fast_config([tiny_pair]), tmp_path / "full")
+        assert calls == ["tiny"]
+
     def test_sweep_rows(self, tiny_pair):
         ds = load_dataset(*tiny_pair)
-        rows = pca_threshold_sweep([ds], fast_config([tiny_pair]))
+        rows = pca_threshold_sweep([normalize(ds)])
         assert len(rows) == 4
         assert [r["threshold"] for r in rows] == [0.85, 0.90, 0.95, 0.99]
         for r in rows:
@@ -316,11 +324,10 @@ class TestFullBenchmark:
     @pytest.mark.parametrize("normalized", [True, False])
     def test_sweep_matches_per_threshold_fits(self, canonical_pairs, normalized):
         datasets = [load_dataset(*pair) for pair in canonical_pairs]
-        rows = pca_threshold_sweep(datasets, fast_config(canonical_pairs, normalize=normalized))
+        tables = [normalize(ds) if normalized else ds for ds in datasets]
+        rows = pca_threshold_sweep(tables)
         assert len(rows) == 4 * len(datasets)
-        matrices = {
-            ds.name: (normalize(ds) if normalized else ds).numeric_matrix() for ds in datasets
-        }
+        matrices = {work.name: work.numeric_matrix() for work in tables}
         for r in rows:
             fitted = pca_fit(matrices[r["dataset"]], variance_threshold=r["threshold"])
             assert r["retained"] == fitted.retained

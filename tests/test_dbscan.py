@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,6 +96,12 @@ def scalar_distances(rows, schema):
         for j in range(i + 1, n):
             dist[i, j] = dist[j, i] = mixed_euclidean(rows[i], rows[j], schema)
     return dist
+
+
+@pytest.fixture
+def row_blocks(monkeypatch):
+    """DBSCAN blocks of ``_BLOCK_ROWS`` rows, so that small tables span several blocks."""
+    monkeypatch.setattr(density, "_BLOCK_PAIRS", 0)
 
 
 def as_partition(labels):
@@ -349,12 +356,14 @@ class TestEpsGraph:
         [1, 7, 9, _BLOCK_ROWS // 2, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 17,
          8 * _BLOCK_ROWS + 3],
     )
+    @pytest.mark.usefixtures("row_blocks")
     def test_block_boundaries_match_oracle(self, n):
         rng = np.random.default_rng(n)
         x = rng.normal(scale=1.5, size=(n, 3))
         for eps, min_pts in [(0.8, 1), (1.0, 4), (1.5, 7)]:
             assert_matches_oracle(x, eps, min_pts)
 
+    @pytest.mark.usefixtures("row_blocks")
     def test_mixed_rows_across_blocks_match_oracle(self):
         rng = np.random.default_rng(41)
         schema = DistanceSchema(kinds=("numeric", "nominal", "numeric", "nominal"))
@@ -367,6 +376,7 @@ class TestEpsGraph:
         for eps, min_pts in [(1.0, 3), (1.5, 5), (2.0, 9)]:
             assert_rows_match_oracle(rows, eps, min_pts, schema)
 
+    @pytest.mark.usefixtures("row_blocks")
     def test_boundary_ties_match_oracle(self):
         # a grid of step 0.5 puts many pairs at exactly eps
         grid = np.array([[0.5 * i, 0.5 * j] for i in range(12) for j in range(9)])
@@ -391,6 +401,25 @@ class TestEpsGraph:
         out = dbscan(x, eps=1.0, min_pts=2)
         assert list(out.labels) == [0, 0]
         assert list(out.roles) == ["core", "core"]
+
+    def test_blocks_take_the_pair_budget(self, monkeypatch):
+        # a small table is one block; a large one takes blocks of _BLOCK_ROWS rows
+        rows = []
+        blocks = density._near_blocks
+
+        def recording(*args):
+            for step in blocks(*args):
+                rows.append(step[1] - step[0])
+                yield step
+
+        monkeypatch.setattr(density, "_near_blocks", recording)
+        rng = np.random.default_rng(44)
+        dbscan(rng.normal(size=(200, 2)), eps=0.5, min_pts=5)
+        assert rows == [200]
+        rows.clear()
+        n = density._BLOCK_PAIRS // _BLOCK_ROWS + 1
+        dbscan(rng.normal(size=(n, 2)), eps=0.5, min_pts=5)
+        assert rows == [_BLOCK_ROWS] * (n // _BLOCK_ROWS) + [n % _BLOCK_ROWS]
 
     def test_peak_memory_below_one_float_matrix(self):
         n = 2000
@@ -503,6 +532,7 @@ class TestSweep:
         assert_matches_oracle(constant, 1.0, 5)
         assert list(dbscan(constant, eps=1.0, min_pts=91).roles) == ["noise"] * 90
 
+    @pytest.mark.usefixtures("row_blocks")
     def test_all_nominal_schema_is_one_window(self):
         rng = np.random.default_rng(63)
         schema = DistanceSchema(kinds=("nominal",) * 3)
@@ -514,6 +544,7 @@ class TestSweep:
         assert np.array_equal(order, np.arange(len(rows)))
         assert set(lo.tolist()) == {0} and set(hi.tolist()) == {len(rows)}
 
+    @pytest.mark.usefixtures("row_blocks")
     def test_mixed_schema_with_spread_key(self):
         rng = np.random.default_rng(64)
         schema = DistanceSchema(kinds=("nominal", "numeric", "nominal", "numeric"))
@@ -544,21 +575,22 @@ class TestSweep:
         n = 2000
         x = np.column_stack([rng.uniform(0, 1000, size=n), rng.normal(size=n)])
         computed = []
-        blocks = density._squared_blocks
+        blocks = density._near_blocks
 
-        def counting(numeric, nominal, ends):
-            for start, stop, end, sq in blocks(numeric, nominal, ends):
-                computed.append(sq.size)
-                yield start, stop, end, sq
+        def counting(numeric, nominal, t, lo, hi):
+            for start, stop, first, near in blocks(numeric, nominal, t, lo, hi):
+                computed.append(near.size)
+                yield start, stop, first, near
 
-        monkeypatch.setattr(density, "_squared_blocks", counting)
+        monkeypatch.setattr(density, "_near_blocks", counting)
         dbscan(x, eps=1.0, min_pts=4)
-        # all rows would be n * n / 2 pairs; windows of +-1 over a spread of 1000
-        # leave well under a tenth of that
+        # all rows would be n * n pairs; windows of +-1 over a spread of 1000
+        # leave well under a twentieth of that
         assert 0 < sum(computed) < n * n / 20
 
 
 class TestSweepProperties:
+    @pytest.mark.usefixtures("row_blocks")
     def test_sweep_matches_oracle(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
@@ -632,12 +664,12 @@ class TestOneColumn:
     def test_builds_no_graph(self, monkeypatch):
         blocks = []
 
-        def spy(numeric, nominal, ends):
+        def spy(numeric, nominal, t, lo, hi):
             blocks.append(numeric.shape)
-            return squared_blocks(numeric, nominal, ends)
+            return near_blocks(numeric, nominal, t, lo, hi)
 
-        squared_blocks = density._squared_blocks
-        monkeypatch.setattr(density, "_squared_blocks", spy)
+        near_blocks = density._near_blocks
+        monkeypatch.setattr(density, "_near_blocks", spy)
         rows = [(float(v), "ab"[i % 2]) for i, v in enumerate(np.linspace(0.0, 10.0, 40))]
         dbscan(np.array([[r[0]] for r in rows]), eps=1.0, min_pts=3)
         assert blocks == []
@@ -663,6 +695,260 @@ class TestOneColumn:
         def check(case):
             x, eps, min_pts = case
             assert_matches_oracle(x, eps, min_pts)
+
+        check()
+
+
+def band_pairs(monkeypatch):
+    """List that receives the size of each set of pairs decided one by one, inside the band."""
+    pairs = []
+    column_sums = density._column_sums
+
+    def counting(numeric, nominal, rows, cols, q, diff):
+        if isinstance(rows, np.ndarray):
+            pairs.append(rows.size)
+        column_sums(numeric, nominal, rows, cols, q, diff)
+
+    monkeypatch.setattr(density, "_column_sums", counting)
+    return pairs
+
+
+def upper_sqrt(value):
+    """A Fraction at least sqrt(value), within a relative 2^-200 of it."""
+    shift = 201 + max(0, value.denominator.bit_length() - value.numerator.bit_length()) // 2
+    return Fraction(math.isqrt(value.numerator * 4**shift // value.denominator) + 1, 2**shift)
+
+
+def proved_band(t, largest_norm, p, r, width):
+    """The ``_band`` formula evaluated exactly: the bound its docstring proves."""
+    u, tiniest = Fraction(1, 2**53), Fraction(1, 2**1074)
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    t, x = Fraction(t), (Fraction(largest_norm) + p * tiniest) / (1 - gamma(p))
+    over_t = (gamma(p + r + 2) * t + p * tiniest) / (1 - gamma(p + r + 2))
+    rho = 2 * u * upper_sqrt(x)
+    return (
+        over_t
+        + rho * (2 * upper_sqrt(t + over_t) + rho)
+        + gamma(width) * (4 * x + r)
+        + 2 * gamma(p) * x
+        + (width + 2 * p) * tiniest
+    )
+
+
+class TestBand:
+    """Pairs whose product lies within the rounding band are decided by the column sums."""
+
+    @pytest.mark.usefixtures("row_blocks")
+    def test_offset_pairs_at_the_window_edge_enter_the_band(self, monkeypatch):
+        # each key is the farthest double within eps of the one before, so q
+        # sits within 2.3e-7 of t; decoys on the same keys, 50 away in the
+        # second column, widen the band of every window to ~4e-6 t
+        eps = 1e-3
+        keys = offset_chain(1e6, eps, 100)
+        x = np.vstack([
+            np.column_stack([keys, np.zeros(keys.size)]),
+            np.column_stack([keys, np.where(np.arange(keys.size) % 2, 50.0, -50.0)]),
+        ])
+        pairs = band_pairs(monkeypatch)
+        for min_pts in (2, 3):
+            assert_matches_oracle(x, eps, min_pts)
+        assert sum(pairs) > 0
+
+    @pytest.mark.parametrize("scale", [1e152, 1.5e153, 1e200])
+    def test_huge_columns_with_equal_rows(self, scale):
+        # steps of scale put pairs at eps; at 1.5e153 the product could
+        # overflow, so the band is inf, and at 1e200 the squared norms do
+        rng = np.random.default_rng(80)
+        grid = rng.integers(-3, 4, size=(30, 2)).astype(float)
+        x = scale * np.repeat(grid, 2, axis=0)
+        # at 1e200 squared distances pass the double range, and the column
+        # sums warn as they round them to inf; the smaller scales must not warn
+        over = "ignore" if scale > 1e154 else "raise"
+        with np.errstate(over=over):
+            for eps, min_pts in [(scale, 3), (1.5 * scale, 5), (1e-300, 2)]:
+                assert_matches_oracle(x, eps, min_pts)
+
+    @pytest.mark.usefixtures("row_blocks")
+    def test_far_apart_groups_near_the_double_range(self):
+        # the mean and norms of the augmented rows overflow, though no
+        # window holds a pair across the groups: the band is inf and every
+        # pair is decided by the column sums, without a warning
+        x = np.vstack([np.full((2 * _BLOCK_ROWS, 2), 1.7e308), np.full((2 * _BLOCK_ROWS, 2), -1.7e308)])
+        with np.errstate(all="raise"):
+            for eps in (1.0, 1e150):
+                out = dbscan(x, eps=eps, min_pts=3)
+                assert out.labels.tolist() == [0] * (2 * _BLOCK_ROWS) + [1] * (2 * _BLOCK_ROWS)
+                assert set(out.roles) == {"core"}
+
+    @pytest.mark.parametrize("eps", [1e-160, 3e-162, 1e-322])
+    def test_underflowing_squares(self, eps, monkeypatch):
+        # fl((a - b)^2) and the products land in the subnormal range, where
+        # rounding is absolute; grid steps of eps / 2 put pairs at eps
+        rng = np.random.default_rng(81)
+        x = 0.5 * eps * rng.integers(-6, 7, size=(90, 2))
+        pairs = band_pairs(monkeypatch)
+        for min_pts in (2, 4):
+            assert_matches_oracle(x, eps, min_pts)
+        assert sum(pairs) > 0
+
+    @pytest.mark.usefixtures("row_blocks")
+    def test_nominal_mixed_and_duplicate_tables_enter_the_band(self, monkeypatch):
+        rng = np.random.default_rng(82)
+        pairs = band_pairs(monkeypatch)
+        # one mismatch is exactly eps = 1
+        nominal = DistanceSchema(kinds=("nominal",) * 2)
+        rows = [tuple("abc"[i] for i in rng.integers(3, size=2)) for _ in range(70)]
+        assert_rows_match_oracle(rows, 1.0, 4, nominal)
+        assert sum(pairs) > 0
+        pairs.clear()
+        # one mismatch plus a numeric step of 0 or 0.5 sits at eps in 1 or 1.25
+        mixed = DistanceSchema(kinds=("numeric", "nominal", "numeric"))
+        rows = [(0.5 * int(rng.integers(4)), "uv"[rng.integers(2)], 0.5 * int(rng.integers(3)))
+                for _ in range(80)]
+        for eps in (1.0, math.sqrt(1.25)):
+            assert_rows_match_oracle(rows, eps, 3, mixed)
+        assert sum(pairs) > 0
+        pairs.clear()
+        # duplicates at q = 0 with an eps far below the rounding of the product
+        x = np.repeat(rng.normal(size=(40, 3)), 3, axis=0)
+        assert_matches_oracle(x, 1e-9, 3)
+        assert sum(pairs) > 0
+
+    @pytest.mark.parametrize(
+        "extra, columns", [(4, 1), (4, 2), (0, 2)], ids=["one-column", "two-columns", "at-the-cut-over"]
+    )
+    def test_many_nominal_levels_take_the_column_sums(self, extra, columns, monkeypatch):
+        # the nominal columns share _ONE_HOT_COLUMNS + extra levels; only a
+        # table within the cut-over takes the products and their band
+        rng = np.random.default_rng(83)
+        schema = DistanceSchema(kinds=("numeric",) + ("nominal",) * columns)
+        levels = (density._ONE_HOT_COLUMNS + extra) // columns
+        codes = [rng.permutation(np.arange(150) % levels) for _ in range(columns)]
+        rows = [(float(rng.normal()),) + tuple(int(c[i]) for c in codes) for i in range(150)]
+        bands = []
+        band = density._band
+        monkeypatch.setattr(density, "_band", lambda *args: bands.append(args) or band(*args))
+        for eps, min_pts in [(1.0, 3), (1.2, 5)]:
+            assert_rows_match_oracle(rows, eps, min_pts, schema)
+        assert (bands != []) == (extra == 0)
+
+    @pytest.mark.parametrize("width", [1e300, math.inf])
+    @pytest.mark.usefixtures("row_blocks")
+    def test_widened_band_decides_every_pair_exactly(self, width, monkeypatch):
+        # 1e300 sends every pair through the one-by-one column sums, inf
+        # sends every block through the blocked ones
+        monkeypatch.setattr(density, "_band", lambda *args: width)
+        pairs, computed = band_pairs(monkeypatch), []
+        blocks = density._near_blocks
+
+        def counting(*args):
+            for step in blocks(*args):
+                computed.append(step[3].size)
+                yield step
+
+        monkeypatch.setattr(density, "_near_blocks", counting)
+        rng = np.random.default_rng(84)
+        grid = np.array([[0.5 * i, 0.5 * j] for i in range(12) for j in range(9)])
+        assert_matches_oracle(grid, 1.0, 5)
+        schema = DistanceSchema(kinds=("nominal", "numeric", "numeric"))
+        rows = [("xy"[rng.integers(2)], float(rng.normal()), float(rng.uniform(0, 8)))
+                for _ in range(2 * _BLOCK_ROWS + 9)]
+        assert_rows_match_oracle(rows, 1.0, 4, schema)
+        assert sum(pairs) == (sum(computed) if width < math.inf else 0)
+
+    @pytest.mark.parametrize("size", [1, 2**60])
+    def test_products_in_chunks_or_whole_match_oracle(self, size, monkeypatch):
+        # 8-column products, or one product per block, which a multi-threaded
+        # BLAS splits across its threads
+        monkeypatch.setattr(density, "_PRODUCT_SIZE", size)
+        rng = np.random.default_rng(86)
+        schema = DistanceSchema(kinds=("numeric", "numeric", "nominal"))
+        x = np.column_stack([
+            0.25 * rng.integers(0, 12, size=600), 0.25 * rng.integers(0, 8, size=600),
+            rng.integers(0, 3, size=600),
+        ])
+        assert_matches_oracle(x, 1.0, 6, schema)
+
+    def test_column_sums_of_single_pairs_match_the_blocks(self):
+        rng = np.random.default_rng(85)
+        numeric = rng.normal(size=(70, 3)) * [1e-3, 1.0, 1e6]
+        nominal = rng.integers(3, size=(70, 2)).astype(float)
+        blocks = np.zeros((70, 70))
+        for start, stop, end, sq in density._squared_blocks(numeric, nominal, np.full(70, 70)):
+            blocks[start:stop, start:end] = sq
+        rows, cols = np.triu_indices(70)
+        q = np.empty(rows.size)
+        density._column_sums(numeric, nominal, rows, cols, q, np.empty(rows.size))
+        assert np.array_equal(q, blocks[rows, cols])
+
+    @pytest.mark.parametrize(
+        "t, largest_norm, p, r, width",
+        [
+            (1e-6, 1e-10, 2, 0, 4),  # rows close together: q's own rounding leads
+            (1e-6, 2500.0, 2, 0, 4),  # the product's rounding leads
+            (0.01, 20.0, 5, 1, 10),
+            (1.0, 0.0, 0, 2, 8),  # nominal columns only
+            (1e-320, 3e-320, 2, 1, 7),  # squares underflow
+            (1e-320, 3e-320, 40, 0, 42),
+            (1e300, 1e300, 3, 0, 5),
+            (1.0, 3.0, 80, 0, 82),
+        ],
+    )
+    def test_band_is_the_proved_bound(self, t, largest_norm, p, r, width):
+        proved = proved_band(t, largest_norm, p, r, width)
+        delta = Fraction(density._band(t, largest_norm, p, r, width))
+        assert proved <= delta <= proved * (1 + Fraction(1, 2**30)) + Fraction(1, 2**1069)
+
+    def test_band_is_inf_where_the_product_could_overflow(self):
+        assert density._band(1.0, 2.0**1018, 2, 0, 4) == math.inf
+        assert density._band(1.0, math.inf, 2, 0, 4) == math.inf
+        assert density._band(1.0, math.nan, 2, 0, 4) == math.inf
+        assert density._band(1.0, 2.0**1016, 2, 0, 4) < math.inf
+
+    @pytest.mark.usefixtures("row_blocks")
+    def test_band_holds_every_decision_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def tables(draw):
+            n = draw(st.integers(1, 50))
+            n_numeric = draw(st.integers(0, 4))
+            n_nominal = draw(st.integers(0 if n_numeric else 1, 2))
+            scale = draw(st.sampled_from([1e-161, 1e-3, 1.0, 1e6, 1e150]))
+            offset = draw(st.sampled_from([0.0, 1.0, 1e6])) * scale
+            step = draw(st.sampled_from([0.25, 0.3, 1e-3])) * scale
+            numeric = offset + step * np.array(
+                draw(st.lists(st.integers(-9, 9), min_size=n * n_numeric, max_size=n * n_numeric)),
+                dtype=float,
+            ).reshape(n, n_numeric)
+            nominal = np.array(
+                draw(st.lists(st.integers(0, 2), min_size=n * n_nominal, max_size=n * n_nominal)),
+                dtype=float,
+            ).reshape(n, n_nominal)
+            eps = draw(st.sampled_from([1.0, 2.0, 3.5])) * step
+            return numeric, nominal, eps, draw(st.integers(1, 6))
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(tables())
+        def check(case):
+            numeric, nominal, eps, min_pts = case
+            n, t = numeric.shape[0], _squared_threshold(eps)
+            left, right, norms = density._augmented(numeric, nominal)
+            delta = density._band(t, float(norms.max()), numeric.shape[1], nominal.shape[1],
+                                  left.shape[1])
+            if delta < math.inf:
+                rows, cols = np.indices((n, n)).reshape(2, -1)
+                q = np.empty(rows.size)
+                density._column_sums(numeric, nominal, rows, cols, q, np.empty(rows.size))
+                g = (left @ right.T).reshape(-1)
+                assert np.all(g[q <= t] <= t + delta)
+                assert np.all(g[q > t] >= t - delta)
+            schema = DistanceSchema(("numeric",) * numeric.shape[1] + ("nominal",) * nominal.shape[1])
+            assert_matches_oracle(np.hstack([numeric, nominal]), eps, min_pts, schema)
 
         check()
 
