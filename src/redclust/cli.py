@@ -14,9 +14,9 @@ import typing
 from dataclasses import fields
 from pathlib import Path
 
-from .benchmark import BenchmarkConfig, _delimited, fit_reducer, paired_dbscan_timing
-from .benchmark import run_full_benchmark, write_texts
-from .dataset import load_dataset, normalize
+from .benchmark import BenchmarkConfig, _delimited, _working_tables, fit_reducer
+from .benchmark import paired_dbscan_timing, run_full_benchmark, write_texts
+from .dataset import load_dataset
 from .density import cluster_count, dbscan
 from .errors import InvalidConfigError, RedclustError
 from .model_io import MODEL_TYPES, save_model
@@ -223,8 +223,9 @@ def _one_reducer(args, default):
 
 
 def _load_work(config, pair):
+    """The loaded dataset and the table its reducer runs on, normalized as the bench grid is."""
     ds = load_dataset(*pair)
-    return ds, normalize(ds) if config.normalize else ds
+    return ds, _working_tables([ds], config.normalize)[0]
 
 
 def cmd_reduce(args):

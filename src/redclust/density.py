@@ -188,13 +188,16 @@ def _column_sums(numeric, nominal, rows, cols, q, diff):
     with ``diff`` as scratch. Each element takes the same operations in
     the same order whatever the shape, so a pair gets the same bits in a
     block and on its own. The distance is symmetric bit for bit, since
-    a - b is exactly -(b - a) in IEEE arithmetic.
+    a - b is exactly -(b - a) in IEEE arithmetic. A sum past the double
+    range is inf, without a warning: it still compares above every finite
+    threshold.
     """
     q.fill(0.0)
-    for col in numeric.T:
-        np.subtract(col[rows], col[cols], out=diff)
-        diff *= diff
-        q += diff
+    with np.errstate(over="ignore"):
+        for col in numeric.T:
+            np.subtract(col[rows], col[cols], out=diff)
+            diff *= diff
+            q += diff
     for col in nominal.T:
         np.not_equal(col[rows], col[cols], out=diff)
         q += diff

@@ -5,13 +5,17 @@ several independent EM runs, each initialized by Lloyd's k-means, and keeps
 the run with the highest final log-likelihood. Everything is deterministic
 for a given seed.
 
-EM and k-means work on a (d, n) copy of the n examples, with all k
-components at once as (d, k, n) or (k, d, n) arrays, so each step is a few
-numpy calls over whole contiguous rows instead of one loop per component.
-Every reduction is numpy's own: sums over the contiguous n axis are
-pairwise (Higham 1993), and sums over d and k add whole rows.
-``tests/test_mixture.py`` keeps the row-major kernels these replaced as
-references and checks the fits against them to a relative 1e-9.
+EM works on a (d, n) copy of the n examples and handles all k components
+at once. Each step forms one (k, d, n) array of squared differences from
+the new means: the M-step reduces it to the variances, and the next E-step
+reduces it to the densities, each by one matrix product over the rows. The
+means are one product of the responsibilities with the rows, and the
+log-sum-exp's one ``exp`` also gives the responsibilities. Lloyd's
+centroids and the k-means variances are likewise one product of a one-hot
+assignment matrix with the rows. Sums over the n rows are thus the BLAS's,
+not numpy's pairwise ones. ``tests/test_mixture.py`` keeps row-major
+per-component kernels as references and checks the fits against them to a
+relative 1e-9.
 """
 
 from dataclasses import dataclass, field
@@ -43,35 +47,56 @@ class MixtureModel:
         return len(self.weights)
 
 
-def _log_density(xt, weights, means, variances):
-    """(k, n) log of weight * diagonal Gaussian density, per component and example."""
-    d = len(xt)
-    quad = xt[:, None, :] - means.T[:, :, None]  # (d, k, n)
-    quad *= quad
-    quad /= variances.T[:, :, None]
-    consts = d * np.log(2.0 * np.pi) + np.log(variances).sum(axis=1)
-    return np.log(weights)[:, None] - 0.5 * (consts[:, None] + quad.sum(axis=0))
+def _squared_differences(xt, means, out=None):
+    """(k, d, n) squared difference of each example from each component mean."""
+    out = np.subtract(xt, means[:, :, None], out=out)
+    return np.multiply(out, out, out=out)
 
 
-def _logsumexp(a):
-    """log(sum(exp(a))) down each column of (k, n) ``a``, stable against overflow."""
-    peak = a.max(axis=0)
-    return peak + np.log(np.exp(a - peak).sum(axis=0))
+def _log_density(sq, weights, variances):
+    """(k, n) log of weight * diagonal Gaussian density from the squared differences ``sq``."""
+    d = sq.shape[1]
+    logd = np.matmul((1.0 / variances)[:, None, :], sq)[:, 0, :]  # (k, n) quadratic forms
+    logd += (d * np.log(2.0 * np.pi) + np.log(variances).sum(axis=1))[:, None]
+    logd *= -0.5
+    logd += np.log(weights)[:, None]
+    return logd
+
+
+def _posteriors(logd):
+    """Log-sum-exp down each column of (k, n) ``logd``, and the posteriors; overwrites ``logd``.
+
+    Returns (log-likelihood per example, (k, n) responsibilities), both from
+    one ``exp``, stable against overflow.
+    """
+    peak = logd.max(axis=0)
+    logd -= peak
+    resp = np.exp(logd, out=logd)
+    total = resp.sum(axis=0)
+    resp /= total
+    return peak + np.log(total), resp
+
+
+def _fit_posteriors(x, model):
+    """``_posteriors`` of the rows of ``x`` under ``model``."""
+    x = as_matrix(x, "data")
+    logd = _log_density(_squared_differences(x.T, model.means), model.weights, model.variances)
+    return _posteriors(logd)
 
 
 def log_likelihood(x, model):
     """Total log-likelihood of ``x`` under the mixture."""
-    x = as_matrix(x, "data")
-    logd = _log_density(x.T, model.weights, model.means, model.variances)
-    return float(_logsumexp(logd).sum())
+    return float(_fit_posteriors(x, model)[0].sum())
 
 
 def responsibilities(x, model):
     """Posterior component probabilities per example; rows sum to 1."""
-    x = as_matrix(x, "data")
-    logd = _log_density(x.T, model.weights, model.means, model.variances)
-    logd -= _logsumexp(logd)
-    return np.exp(logd).T.copy()
+    return _fit_posteriors(x, model)[1].T.copy()
+
+
+def _one_hot(assign, k):
+    """(k, n) indicator matrix of each example's cluster."""
+    return (assign == np.arange(k)[:, None]).astype(float)
 
 
 def _nearest(xt, centers):
@@ -112,10 +137,9 @@ def _lloyd(x, k, rng):
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for j in range(k):
-            members = assign == j
-            if members.any():
-                centers[j] = xt[:, members].mean(axis=-1)
+        counts = np.bincount(assign, minlength=k)
+        filled = counts > 0
+        centers[filled] = (_one_hot(assign, k) @ x)[filled] / counts[filled, None]
     return centers, assign
 
 
@@ -134,10 +158,14 @@ def kmeans_init(x, k, seed):
     rng = np.random.default_rng(seed)
     centers, assign = _lloyd(x, k, rng)
     counts = np.bincount(assign, minlength=k)
-    weights = np.where(counts > 0, counts / n, 1.0 / k)
-    variances = np.empty((k, d))
-    for j in range(k):
-        variances[j] = x[assign == j].var(axis=0) if counts[j] else x.var(axis=0)
+    filled = counts > 0
+    weights = np.where(filled, counts / n, 1.0 / k)
+    spread = x - centers[assign]
+    spread *= spread
+    variances = _one_hot(assign, k) @ spread
+    variances[filled] /= counts[filled, None]
+    if not filled.all():
+        variances[~filled] = x.var(axis=0)
     np.maximum(variances, VARIANCE_FLOOR, out=variances)
     weights /= weights.sum()
     return MixtureModel(weights=weights, means=centers, variances=variances)
@@ -151,33 +179,33 @@ def _em_single_run(x, k, max_steps, quality, model):
     n = x.shape[0]
     xt = x.T.copy()
     weights, means, variances = model.weights, model.means, model.variances
-    global_var = np.maximum(xt.var(axis=-1), VARIANCE_FLOOR)
 
-    logd = _log_density(xt, weights, means, variances)
-    norm = _logsumexp(logd)
+    sq = _squared_differences(xt, means)
+    norm, resp = _posteriors(_log_density(sq, weights, variances))
     trace = [float(norm.sum())]
     resets = []
     for step in range(max_steps):
-        resp = np.exp(logd - norm)
         bulk = resp.sum(axis=-1)
-        degenerate = np.flatnonzero(bulk / n < _DEGENERATE_WEIGHT)
+        share = bulk / n
+        degenerate = np.flatnonzero(share < _DEGENERATE_WEIGHT)
         if degenerate.size:
             # reset dead components at the worst-explained rows
             hardness = np.argsort(norm)
+            global_var = np.maximum(xt.var(axis=-1), VARIANCE_FLOOR)
             for slot, j in enumerate(degenerate):
                 means[j] = x[hardness[slot % n]]
                 variances[j] = global_var
                 weights[j] = 1.0 / k
             weights = weights / weights.sum()
             resets.append(step)
+            _squared_differences(xt, means, out=sq)
         else:
-            weights = bulk / n
-            r = resp[:, None, :]
-            means[:] = (r * xt).sum(axis=-1) / bulk[:, None]
-            diff = xt - means[:, :, None]  # (k, d, n)
-            np.maximum((r * diff * diff).sum(axis=-1) / bulk[:, None], VARIANCE_FLOOR, out=variances)
-        logd = _log_density(xt, weights, means, variances)
-        norm = _logsumexp(logd)
+            weights = share
+            np.divide(resp @ x, bulk[:, None], out=means)
+            _squared_differences(xt, means, out=sq)
+            np.divide(np.matmul(sq, resp[:, :, None])[:, :, 0], bulk[:, None], out=variances)
+            np.maximum(variances, VARIANCE_FLOOR, out=variances)
+        norm, resp = _posteriors(_log_density(sq, weights, variances))
         trace.append(float(norm.sum()))
         if abs(trace[-1] - trace[-2]) < quality and step not in resets:
             break

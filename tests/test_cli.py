@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import redclust.benchmark as bench
 from redclust.benchmark import BenchmarkConfig, fit_reducer
 from redclust.cli import main
 from redclust.dataset import load_dataset, normalize
@@ -147,6 +148,23 @@ class TestUsage:
         assert stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
         assert str(schema) in err and "'columns'" in err
+
+    @pytest.mark.parametrize("command", ["reduce", "cluster", "bench"])
+    @pytest.mark.parametrize("flags, expected", [([], ["tiny"]), (["--no-normalize"], [])])
+    def test_every_subcommand_normalizes_as_the_bench_grid(
+        self, capsys, monkeypatch, tmp_path, tiny_pair, command, flags, expected
+    ):
+        # the working table is decided in one place, benchmark._working_tables
+        calls = []
+        norm = bench.normalize
+        monkeypatch.setattr(bench, "normalize", lambda ds: calls.append(ds.name) or norm(ds))
+        code, _, err = run(
+            [command, "--dataset", tiny_pair[0], "--schema", tiny_pair[1], "--reducer", "svd",
+             *flags, "--out", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 0, err
+        assert calls == expected
 
 
 class TestReduce:

@@ -764,10 +764,9 @@ class TestBand:
         rng = np.random.default_rng(80)
         grid = rng.integers(-3, 4, size=(30, 2)).astype(float)
         x = scale * np.repeat(grid, 2, axis=0)
-        # at 1e200 squared distances pass the double range, and the column
-        # sums warn as they round them to inf; the smaller scales must not warn
-        over = "ignore" if scale > 1e154 else "raise"
-        with np.errstate(over=over):
+        # at 1e200 squared distances pass the double range: the column sums
+        # round them to inf, and no scale may warn
+        with np.errstate(over="raise"):
             for eps, min_pts in [(scale, 3), (1.5 * scale, 5), (1e-300, 2)]:
                 assert_matches_oracle(x, eps, min_pts)
 

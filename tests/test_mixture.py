@@ -75,6 +75,41 @@ class TestKmeansInit:
             assert {0.0, 1.0} <= set(model.means[:, 0]), seed
 
 
+class TestKmeansVariances:
+    """kmeans_init's variances are each cluster's own per-column variance, floored."""
+
+    @staticmethod
+    def assert_cluster_variances(x, k, seeds):
+        for seed in seeds:
+            model = kmeans_init(x, k, seed)
+            _, assign = mixture._lloyd(x, k, np.random.default_rng(seed))
+            want = np.array([
+                x[assign == j].var(axis=0) if np.any(assign == j) else x.var(axis=0)
+                for j in range(k)
+            ])
+            np.testing.assert_allclose(
+                model.variances, np.maximum(want, mixture.VARIANCE_FLOOR), rtol=1e-9, atol=0,
+                err_msg=f"seed {seed}",
+            )
+
+    @pytest.mark.parametrize("n, d, k", [(150, 1, 2), (150, 5, 3), (3000, 5, 2)])
+    def test_scaled_blobs(self, n, d, k):
+        self.assert_cluster_variances(scaled_blobs(np.random.default_rng(n + d + k), n, d, 4), k, range(3))
+
+    def test_duplicate_rows_reach_the_floor(self):
+        rng = np.random.default_rng(63)
+        x = np.repeat(rng.normal(size=(5, 3)), 8, axis=0)
+        self.assert_cluster_variances(x, 5, range(10))
+
+    def test_cluster_that_stays_empty(self):
+        x = np.array([[0.0], [1.0], [1.0]])
+        assert any(
+            np.bincount(mixture._lloyd(x, 3, np.random.default_rng(seed))[1], minlength=3).min() == 0
+            for seed in range(40)
+        )
+        self.assert_cluster_variances(x, 3, range(40))
+
+
 class TestEmFit:
     @pytest.mark.filterwarnings("error")
     def test_fewer_distinct_rows_than_k(self):
@@ -410,6 +445,19 @@ class TestMatchesRowMajorReference:
         x = scaled_blobs(rng, 150, d, max(k, 2))  # above 128 rows: width-1 sums split in halves
         self.assert_em_fit_matches(monkeypatch, x, k, 3, 25, seed=d + k)
         self.assert_kmeans_init_matches(monkeypatch, x, k, range(3))
+
+    @pytest.mark.parametrize("n, d, table_seed, seed", [(3000, 5, 3055, 10), (1500, 1, 1501, 1)])
+    def test_em_fit_at_benchmark_scale(self, monkeypatch, n, d, table_seed, seed):
+        # thousands of rows take the BLAS's long dot products. Runs that reach
+        # one optimum from permuted starts tie to the last bits, and rounding
+        # then picks the run; these tables' best run wins by far more
+        x = scaled_blobs(np.random.default_rng(table_seed), n, d, 4)
+        got = self.assert_em_fit_matches(monkeypatch, x, 2, 5, 100, seed=seed)
+        finals = [trace[-1] for trace in got.traces]
+        best = got.traces[got.chosen_run]
+        rivals = [final for trace, final in zip(got.traces, finals) if trace != best]
+        assert rivals and max(finals) - max(rivals) > 1e-6 * abs(max(finals))
+        self.assert_kmeans_init_matches(monkeypatch, x, 2, range(2))
 
     @pytest.mark.parametrize("d", [1, 3, 9])
     @pytest.mark.parametrize("k", [1, 2, 9])
