@@ -292,11 +292,18 @@ def run_benchmark(config, tables=None):
 
     ``tables`` are the variant's working tables: config.datasets, loaded
     and z-normalized when config.normalize (``_working_tables``). They are
-    made here when not given.
+    made here when not given; given tables whose ``transforms`` log
+    disagrees with config.normalize raise InvalidConfigError.
     """
     config.validate()
     if tables is None:
         tables = _working_tables(load_config_datasets(config), config.normalize)
+    for work in tables:
+        if any("z_normalize" in step for step in work.transforms) != config.normalize:
+            raise InvalidConfigError(
+                f"table {work.name!r} is {'not ' if config.normalize else ''}z-normalized"
+                f" but config.normalize is {config.normalize}"
+            )
     cells = {}
     warnings = []
     for di, work in enumerate(tables):

@@ -203,30 +203,6 @@ def _column_sums(numeric, nominal, rows, cols, q, diff):
         q += diff
 
 
-def _squared_blocks(numeric, nominal, ends):
-    """Yield (start, stop, end, squared distances from rows start:stop to rows start:end).
-
-    ``ends[i]`` is the exclusive bound of row i's candidate columns,
-    non-decreasing in i; a block covers the columns up to its last row's
-    bound, from ``start`` on, and callers mirror it below the diagonal.
-    The yielded block is a reused buffer, valid until the next step.
-    """
-    n = numeric.shape[0]
-    blocks = [(start, min(n, start + _BLOCK_ROWS)) for start in range(0, n, _BLOCK_ROWS)]
-    blocks = [(start, stop, int(ends[stop - 1])) for start, stop in blocks]
-    size = max((stop - start) * (end - start) for start, stop, end in blocks)
-    sq_buf, diff_buf = np.empty(size), np.empty(size)
-    for start, stop, end in blocks:
-        shape = (stop - start, end - start)
-        used = shape[0] * shape[1]
-        q = sq_buf[:used].reshape(shape)
-        _column_sums(
-            numeric, nominal, np.s_[start:stop, None], np.s_[None, start:end], q,
-            diff_buf[:used].reshape(shape),
-        )
-        yield start, stop, end, q
-
-
 def pairwise_distances(data, schema=None):
     """Full n x n mixed-Euclidean distance matrix of a 2-D table.
 
@@ -236,8 +212,14 @@ def pairwise_distances(data, schema=None):
     numeric, nominal = _distance_inputs(data, schema)
     n = numeric.shape[0]
     dist = np.empty((n, n))
-    for start, stop, _, sq in _squared_blocks(numeric, nominal, np.full(n, n)):
-        np.sqrt(sq, out=dist[start:stop, start:])
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(n, start + _BLOCK_ROWS)
+        block = dist[start:stop, start:]
+        _column_sums(
+            numeric, nominal, np.s_[start:stop, None], np.s_[None, start:], block,
+            np.empty(block.shape),
+        )
+        np.sqrt(block, out=block)
         dist[stop:, start:stop] = dist[start:stop, stop:].T
     return dist
 

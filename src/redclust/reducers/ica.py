@@ -2,18 +2,17 @@
 
 Rows are centered and whitened through PCA's ``covariance_eig``, the
 eigendecomposition of the sample covariance, with each axis scaled to unit
-variance; then the unmixing matrix W is driven by the approximate Newton
-update
+variance; then the unmixing matrix W is driven by Hyvarinen's fixed-point
+update (Hyvarinen 1999, "Fast and robust fixed-point algorithms for ICA")
 
-    W+ = W + diag(alpha_i) [diag(beta_i) + E{g(y) y^T}] W,   y = W x,
+    W+ = E{g(y) x^T} - diag(E{g'(y)}) W,   y = W x,
 
-with beta_i = -E{y_i g(y_i)} and alpha_i = -1 / (beta_i - E{g'(y_i)}),
 re-orthogonalizing W after every step (symmetric decorrelation, all
 components at once). Expectations are sample means over the rows.
 
 The starting W and every update are decorrelated to the polar factor
 (W W^T)^(-1/2) W by ``linalg.orthogonalize``, the matmul-only iteration
-Hyvarinen (1999) uses.
+of the same paper.
 """
 
 from dataclasses import dataclass
@@ -126,10 +125,7 @@ def fastica_fit(
     for iteration in range(1, max_iter + 1):
         y = whitened @ w.T  # rows are y = W x per sample
         gy, g_prime_y = contrast(y)
-        beta = -np.mean(y * gy, axis=0)
-        alpha = -1.0 / (beta - np.mean(g_prime_y, axis=0))
-        correction = (np.diag(beta) + (gy.T @ y) / n) @ w
-        w_new = orthogonalize(w + alpha[:, None] * correction)
+        w_new = orthogonalize((gy.T @ whitened) / n - g_prime_y.mean(axis=0)[:, None] * w)
         drift = np.max(np.abs(1.0 - np.abs(np.sum(w_new * w, axis=1))))
         w = w_new
         if drift < tol:

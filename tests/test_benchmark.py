@@ -185,6 +185,18 @@ class TestRunBenchmark:
         with pytest.raises(InvalidConfigError):
             run_benchmark(fast_config([tiny_pair], pca_k=0))
 
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_tables_must_match_the_normalize_flag(self, tiny_pair, normalized):
+        # raw tables under normalize=True, or z-normalized ones under False,
+        # would be reported as the other variant
+        ds = load_dataset(*tiny_pair)
+        config = fast_config([tiny_pair], normalize=normalized, reducers=("none",))
+        expected = "'tiny' is not z-normalized" if normalized else "'tiny' is z-normalized"
+        with pytest.raises(InvalidConfigError, match=expected):
+            run_benchmark(config, [ds] if normalized else [normalize(ds)])
+        matching = [normalize(ds)] if normalized else [ds]
+        assert run_benchmark(config, matching).normalized is normalized
+
     @pytest.mark.parametrize(
         "override",
         [{"som_width": 0}, {"som_width": 1, "som_height": 1}, {"som_width": -2, "som_height": -1},

@@ -875,9 +875,10 @@ class TestBand:
         rng = np.random.default_rng(85)
         numeric = rng.normal(size=(70, 3)) * [1e-3, 1.0, 1e6]
         nominal = rng.integers(3, size=(70, 2)).astype(float)
-        blocks = np.zeros((70, 70))
-        for start, stop, end, sq in density._squared_blocks(numeric, nominal, np.full(70, 70)):
-            blocks[start:stop, start:end] = sq
+        blocks = np.empty((70, 70))
+        density._column_sums(
+            numeric, nominal, np.s_[:, None], np.s_[None, :], blocks, np.empty((70, 70))
+        )
         rows, cols = np.triu_indices(70)
         q = np.empty(rows.size)
         density._column_sums(numeric, nominal, rows, cols, q, np.empty(rows.size))

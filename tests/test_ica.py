@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+from redclust.benchmark import (
+    BenchmarkConfig,
+    _derive_seed,
+    _working_tables,
+    fit_reducer,
+    load_config_datasets,
+)
 from redclust.errors import DegenerateInputError, InvalidConfigError, InvalidInputError
+from redclust.linalg import orthogonalize
 from redclust.reducers import fastica_fit, fastica_transform
 from redclust.reducers.pca import covariance_eig
 
@@ -131,9 +139,26 @@ class TestFasticaFit:
         with pytest.raises(DegenerateInputError):
             fastica_fit(x, n_components=3)
 
+    @pytest.mark.parametrize("nonlinearity", ["tanh", "cube"])
+    def test_one_step_is_the_fixed_point_update(self, nonlinearity):
+        # W+ = orthogonalize(E{g(y) x^T} - diag(E{g'(y)}) W), y = W x, on whitened x
+        rng = np.random.default_rng(18)
+        x = make_sources(rng, 400, ("uniform", "laplace", "sawtooth")) @ rng.normal(size=(3, 3))
+        w0 = rng.normal(size=(3, 3))
+        model = fastica_fit(x, nonlinearity=nonlinearity, max_iter=1, w_init=w0)
+        whitened = (x - model.mean) @ model.whitening.T
+        w = orthogonalize(w0)
+        y = whitened @ w.T
+        if nonlinearity == "tanh":
+            g, g_prime = np.tanh(y), 1.0 - np.tanh(y) ** 2
+        else:
+            g, g_prime = y**3, 3.0 * y**2
+        expectation = np.mean(g[:, :, None] * whitened[:, None, :], axis=0)
+        expected = orthogonalize(expectation - np.diag(g_prime.mean(axis=0)) @ w)
+        assert model.n_iter == 1
+        assert np.allclose(model.unmixing, expected, rtol=0, atol=1e-10)
+
     def test_cube_nonlinearity(self):
-        # cube's fixed point is only stable for heavy-tailed sources under
-        # the stabilized update, so this uses super-Gaussian signals
         rng = np.random.default_rng(17)
         s = make_sources(rng, 2000, ("laplace", "spikes"))
         mixing = rng.normal(size=(2, 2))
@@ -156,6 +181,21 @@ class TestFasticaFit:
             fastica_fit(x, max_iter=0)
         with pytest.raises(DegenerateInputError):
             fastica_fit(x[:1])
+
+    def test_bundled_tables_converge(self, canonical_pairs):
+        # the bench grid's FastICA fits, at its own cell seeds: normalized
+        # acute-implant is the one left at the 200-iteration cap
+        config = BenchmarkConfig(datasets=canonical_pairs)
+        datasets = load_config_datasets(config)
+        reducer_index = config.reducers.index("fastica")
+        unconverged = []
+        for normalized in (True, False):
+            for di, work in enumerate(_working_tables(datasets, normalized)):
+                seed = _derive_seed(config.seed, di, reducer_index)
+                model, _ = fit_reducer("fastica", work, config, seed)
+                if not model.converged:
+                    unconverged.append((work.name, normalized))
+        assert set(unconverged) <= {("acute-implant", True)}
 
 
 class TestFasticaTransform:
