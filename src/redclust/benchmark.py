@@ -5,8 +5,8 @@ through), time DBSCAN with a monotonic clock, count clusters
 (performance-1), drop noise rows, fit the EM mixture and record its mean
 log-likelihood (performance-2). EM reads the (reduced) coordinates, so the
 bench derives no similarity matrix; ``data_to_similarity`` stays a library
-utility. Reports are deterministic for a given seed except for the
-wall-time fields.
+utility. A PCA cell keeps its fitted spectrum for the threshold sweep.
+Reports are deterministic for a given seed except for the wall-time fields.
 """
 
 import hashlib
@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import load_dataset, normalize
 from .dataset import data_to_similarity, filter_examples  # noqa: F401  (call-site tracers wrap these names here)
 from .density import NOISE, dbscan, cluster_count
-from .errors import InvalidConfigError, OutputError, RedclustError, SchemaError
+from .errors import InvalidConfigError, OutputError, SchemaError
 from .mixture import em_fit
 from .reducers import (
     ReducedDataset,
@@ -142,6 +142,7 @@ class BenchmarkCell:
     mean_log_likelihood: float | None = None  # performance-2
     em_note: str | None = None
     reducer_converged: bool | None = None
+    spectrum: np.ndarray | None = None  # a PCA cell's covariance eigenvalues, descending
     error: str | None = None
     points: list = field(default_factory=list)  # (x, y, cluster, noise01)
 
@@ -248,6 +249,7 @@ def _run_cell(work, reducer, config, seed):
         t1 = time.perf_counter()
         cell.attribute_count = reduced.k
         cell.reducer_converged = getattr(model, "converged", None)
+        cell.spectrum = getattr(model, "eigenvalues", None)
 
         # EM and the plots take the unreduced table's numeric columns, not its level codes
         coords = reduced.data if reduced.schema is None else work.numeric_matrix()
@@ -428,32 +430,27 @@ def emit_report(report, out_dir):
     write_texts(out_dir, files)
 
 
-def pca_threshold_sweep(tables):
-    """Retained PCA dimensions per table for each sweep threshold.
+def pca_threshold_sweep(report):
+    """Retained PCA dimensions per dataset for each sweep threshold.
 
-    Rows: (dataset, threshold, retained, reference, match). ``tables`` are
-    the working tables of the normalization variant the canonical
-    comparison uses (``_working_tables``). The sweep fits PCA once per
-    table and reads every threshold's count from that fit's eigenvalues,
-    the count ``pca_fit(variance_threshold=t)`` keeps. A table PCA cannot
-    fit gets "ERROR" rows, as a failed grid cell does.
+    Rows: (dataset, threshold, retained, reference, match) for each PCA cell
+    of ``report``, in dataset order, read from the spectrum the cell's fit
+    kept: the count ``pca_fit(variance_threshold=t)`` keeps. A cell whose fit
+    failed gets "ERROR" rows; one whose fit succeeded keeps its counts even
+    if a later stage failed.
     """
     rows = []
-    for work in tables:
-        try:
-            matrix = work.numeric_matrix()
-            eigenvalues = pca_fit(matrix, k=matrix.shape[1]).eigenvalues
-        except RedclustError:  # a table PCA cannot fit must not end the bench after its grid ran
-            eigenvalues = None
-        reference = REFERENCE_ATTRIBUTE_COUNTS["pca"].get(work.name)
+    for name in report.dataset_names:
+        cell = report.cells.get((name, "pca"))
+        if cell is None:
+            continue
+        reference = REFERENCE_ATTRIBUTE_COUNTS["pca"].get(name)
+        spectrum = cell.spectrum
         for threshold in PCA_SWEEP_THRESHOLDS:
-            if eigenvalues is None:
-                retained = "ERROR"
-            else:
-                retained = retained_for_threshold(eigenvalues, threshold)
+            retained = "ERROR" if spectrum is None else retained_for_threshold(spectrum, threshold)
             rows.append(
                 {
-                    "dataset": work.name,
+                    "dataset": name,
                     "threshold": threshold,
                     "retained": retained,
                     "reference": reference,
@@ -463,8 +460,8 @@ def pca_threshold_sweep(tables):
     return rows
 
 
-def write_comparison_files(out_dir, normalized_report, raw_report, sweep_rows):
-    """Reference-vs-observed artifacts: attributes, cluster counts, PCA sweep."""
+def write_comparison_files(out_dir, normalized_report, raw_report):
+    """Reference-vs-observed artifacts read from the reports: attributes, clusters, PCA sweep."""
     primary = normalized_report or raw_report
     names = _ordered_datasets(primary)
 
@@ -504,6 +501,7 @@ def write_comparison_files(out_dir, normalized_report, raw_report, sweep_rows):
             clusters.append((name, reducer, reference, obs_n, obs_r, *matches))
     files["cluster_comparison.tsv"] = _delimited(clusters)
 
+    sweep_rows = pca_threshold_sweep(primary)
     sweep = ["dataset threshold retained reference match".split()]
     sweep += [
         (r["dataset"], r["threshold"], r["retained"], r["reference"], str(r["match"]).lower())
@@ -534,18 +532,14 @@ def run_full_benchmark(config, out_dir):
     out_dir = Path(out_dir)
     write_texts(out_dir, {})  # an unusable --out fails before any cell runs
 
-    variants = [True, False] if config.normalize else [False]
-    tables = {normalized: _working_tables(datasets, normalized) for normalized in variants}
     reports = {}
-    for normalized in variants:
-        report = run_benchmark(replace(config, normalize=normalized), tables[normalized])
+    for normalized in [True, False] if config.normalize else [False]:
+        tables = _working_tables(datasets, normalized)
+        report = run_benchmark(replace(config, normalize=normalized), tables)
         reports["normalized" if normalized else "raw"] = report
         emit_report(report, out_dir / ("normalized" if normalized else "raw"))
 
-    sweep_rows = pca_threshold_sweep(tables[config.normalize])
-    write_comparison_files(
-        out_dir, reports.get("normalized"), reports.get("raw"), sweep_rows
-    )
+    write_comparison_files(out_dir, reports.get("normalized"), reports.get("raw"))
     return reports
 
 

@@ -8,6 +8,7 @@ id and label columns ride along for provenance and reporting.
 
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -170,28 +171,44 @@ def read_schema(path):
     }
 
 
+def _numbered_rows(reader, data_path):
+    """(last physical line, cells) for each row of ``reader``; a csv error is a DatasetParseError."""
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise DatasetParseError(f"dataset {data_path}: {exc}", line=reader.line_num) from None
+
+
 def load_dataset(data_path, schema):
     """Parse a delimited text file against a schema descriptor.
 
     ``schema`` is a path to a JSON descriptor or an already-read descriptor
-    dict. Parse failures name the offending line and column; declared
-    attribute counts and (when present) expected row counts are enforced.
+    dict. The file is UTF-8, with or without a byte-order mark; a quoted
+    cell may span lines. Parse failures name the offending physical line
+    (a row's last) and column; declared attribute counts and (when
+    present) expected row counts are enforced.
     """
     if not isinstance(schema, dict):
         schema = read_schema(schema)
     data_path = Path(data_path)
     try:
-        text = data_path.read_text(encoding="utf-8")
+        raw_bytes = data_path.read_bytes()
+        text = raw_bytes.decode("utf-8-sig")
     except OSError as exc:
         raise DatasetParseError(f"cannot read dataset {data_path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(f"dataset {data_path} is not UTF-8: {exc}") from None
 
-    reader = csv.reader(text.splitlines(), delimiter=schema["delimiter"])
-    rows = list(reader)
-    if not rows:
+    # csv splits rows itself: only then does a quoted line break stay in its cell
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=schema["delimiter"])
+    rows = _numbered_rows(reader, data_path)  # streamed: the rows are never all held at once
+    first = next(rows, None)
+    if first is None:
         raise DatasetParseError(f"dataset {data_path} is empty", line=1)
 
     columns = schema["columns"]
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in first[1]]
     declared = [c.name for c in columns]
     if header != declared:
         raise SchemaError(
@@ -199,7 +216,7 @@ def load_dataset(data_path, schema):
         )
 
     raw_columns = [[] for _ in columns]
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows:
         if len(row) != len(columns):
             raise DatasetParseError(
                 f"expected {len(columns)} cells, found {len(row)}", line=line_no
@@ -241,7 +258,7 @@ def load_dataset(data_path, schema):
             # intern repeated nominal strings
             values.append(np.asarray([str(v) for v in raw], dtype=object))
 
-    checksum = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    checksum = hashlib.sha256(raw_bytes).hexdigest()
     return Dataset(
         name=schema["name"],
         columns=columns,

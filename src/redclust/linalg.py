@@ -94,14 +94,19 @@ def _complete_orthonormal(u, start):
 
 
 def _one_sided_jacobi(a):
-    """One-sided Jacobi SVD of ``a`` with rows >= cols. Returns (u, s, v).
+    """One-sided Jacobi rotations of ``a`` with rows >= cols: (w, s, v, exponent).
 
-    The rotations run on ``a`` times the power of two that brings its
-    largest entry into [0.5, 1), which is exact and changes no rotation.
-    The stopping test scales |gamma| by sqrt(alpha) * sqrt(beta): for two
-    columns far below the largest, alpha * beta underflows to 0 and the
-    sweep would never stop. ``sq_norms`` caches each column's squared
-    norm; a rotation recomputes only the two columns it touches.
+    The rotations run on ``a`` times the power of two, 2**-exponent, that
+    brings its largest entry into [0.5, 1), which is exact and changes no
+    rotation. They stop with mutually orthogonal columns w = a v 2**-exponent,
+    v orthogonal. The columns come sorted by norm, descending, and s holds
+    those norms with every one at or below the rank cutoff set to 0.0, so
+    ldexp(s, exponent) are the singular values; ``svd`` forms the left
+    vectors from w and s, which ``sym_eig`` does not need. The stopping test
+    scales |gamma| by sqrt(alpha) * sqrt(beta): for two columns far below the
+    largest, alpha * beta underflows to 0 and the sweep would never stop.
+    ``sq_norms`` caches each column's squared norm; a rotation recomputes
+    only the two columns it touches.
     """
     m, n = a.shape
     exponent = math.frexp(float(np.max(np.abs(a))))[1]
@@ -149,20 +154,21 @@ def _one_sided_jacobi(a):
     norms = np.sqrt(np.sum(w * w, axis=0))
     order = np.argsort(-norms, kind="stable")
     s = norms[order]
-    w = w[:, order]
-    v = v[:, order]
+    s[s <= max(m, n) * np.finfo(float).eps * s[0]] = 0.0
+    return w[:, order], s, v[:, order], exponent
 
-    u = np.zeros((m, n))
-    cutoff = max(m, n) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = 0
-    for j in range(n):
-        if s[j] > cutoff:
-            u[:, j] = w[:, j] / s[j]
-            rank = j + 1
-        else:
-            s[j] = 0.0
-    if rank < n:
-        s[rank:] = 0.0
+
+def _jacobi_svd(a):
+    """SVD (u, s, v) of ``a`` with rows >= cols from the one-sided Jacobi kernel.
+
+    Each left vector with a nonzero singular value is its rotated column
+    over that value; the rest complete an orthonormal basis.
+    """
+    w, s, v, exponent = _one_sided_jacobi(a)
+    rank = int(np.count_nonzero(s))
+    u = np.zeros(w.shape)  # C order: _complete_orthonormal's products round by layout
+    u[:, :rank] = w[:, :rank] / s[:rank]
+    if rank < u.shape[1]:
         _complete_orthonormal(u, rank)
     return u, np.ldexp(s, exponent), v
 
@@ -178,9 +184,9 @@ def svd(x):
     """
     a = as_matrix(x, "svd input")
     if a.shape[0] >= a.shape[1]:
-        u, s, v = _one_sided_jacobi(a)
+        u, s, v = _jacobi_svd(a)
     else:
-        v, s, u = _one_sided_jacobi(a.T.copy())
+        v, s, u = _jacobi_svd(a.T.copy())
     _sign_fix_columns(v, u)
     return SvdFactors(u=u, s=s, v=v)
 
@@ -213,9 +219,9 @@ def sym_eig(x):
     diag = np.diag(w)
     off_row_sums = np.sum(np.abs(w - np.diag(diag)), axis=1)
     shift = max(0.0, float(np.max(off_row_sums - diag)))
-    _, s, vectors = _one_sided_jacobi(w + shift * np.eye(n))
+    _, s, vectors, exponent = _one_sided_jacobi(w + shift * np.eye(n))
     _sign_fix_columns(vectors)
-    return EigenPairs(values=s - shift, vectors=vectors)
+    return EigenPairs(values=np.ldexp(s, exponent) - shift, vectors=vectors)
 
 
 def center(x):

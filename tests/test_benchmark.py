@@ -325,8 +325,8 @@ class TestFullBenchmark:
         assert calls == ["tiny"]
 
     def test_sweep_rows(self, tiny_pair):
-        ds = load_dataset(*tiny_pair)
-        rows = pca_threshold_sweep([normalize(ds)])
+        report = run_benchmark(fast_config([tiny_pair], reducers=("pca",)))
+        rows = pca_threshold_sweep(report)
         assert len(rows) == 4
         assert [r["threshold"] for r in rows] == [0.85, 0.90, 0.95, 0.99]
         for r in rows:
@@ -337,12 +337,49 @@ class TestFullBenchmark:
     def test_sweep_matches_per_threshold_fits(self, canonical_pairs, normalized):
         datasets = [load_dataset(*pair) for pair in canonical_pairs]
         tables = [normalize(ds) if normalized else ds for ds in datasets]
-        rows = pca_threshold_sweep(tables)
+        config = BenchmarkConfig(
+            datasets=list(canonical_pairs), reducers=("pca",), normalize=normalized
+        )
+        rows = pca_threshold_sweep(run_benchmark(config, tables))
         assert len(rows) == 4 * len(datasets)
         matrices = {work.name: work.numeric_matrix() for work in tables}
         for r in rows:
             fitted = pca_fit(matrices[r["dataset"]], variance_threshold=r["threshold"])
             assert r["retained"] == fitted.retained
+
+    def test_pca_fitted_once_per_pca_cell(self, monkeypatch, tmp_path, tiny_pair):
+        # the sweep reads the grid cells' spectra instead of fitting again
+        calls = []
+        fit = bench.pca_fit
+        monkeypatch.setattr(bench, "pca_fit", lambda *a, **kw: calls.append(a) or fit(*a, **kw))
+        reports = run_full_benchmark(fast_config([tiny_pair]), tmp_path / "full")
+        pca_cells = [c for r in reports.values() for c in r.cells.values() if c.reducer == "pca"]
+        assert len(pca_cells) == 2
+        assert len(calls) == len(pca_cells)
+
+    def test_grid_without_pca_writes_header_only_sweep(self, tmp_path, tiny_pair):
+        out = tmp_path / "full"
+        run_full_benchmark(fast_config([tiny_pair], reducers=("svd", "none")), out)
+        assert (out / "pca_threshold_sweep.tsv").read_text() == (
+            "dataset\tthreshold\tretained\treference\tmatch\n"
+        )
+        assert (out / "pca_threshold_summary.tsv").read_text() == "dataset\tmatching_thresholds\n"
+
+    def test_sweep_keeps_counts_when_dbscan_fails(self, monkeypatch, tmp_path, tiny_pair):
+        # the spectrum is stored when the fit returns, before DBSCAN runs
+        def broken(*args, **kwargs):
+            raise RuntimeError("dbscan broke")
+
+        monkeypatch.setattr(bench, "dbscan", broken)
+        out = tmp_path / "full"
+        reports = run_full_benchmark(fast_config([tiny_pair], reducers=("pca",)), out)
+        assert "dbscan broke" in reports["normalized"].cell("tiny", "pca").error
+        matrix = normalize(load_dataset(*tiny_pair)).numeric_matrix()
+        thresholds = (0.85, 0.90, 0.95, 0.99)
+        expected = [pca_fit(matrix, variance_threshold=t).retained for t in thresholds]
+        sweep = [line.split("\t") for line in
+                 (out / "pca_threshold_sweep.tsv").read_text().splitlines()[1:]]
+        assert [row[2] for row in sweep] == [str(k) for k in expected]
 
 
 class TestModelIo:

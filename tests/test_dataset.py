@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +129,7 @@ class TestLoadDataset:
         with pytest.raises(DatasetParseError):
             load_dataset(tmp_path / "nope.csv", s)
 
+
     @pytest.mark.parametrize(
         "schema, field",
         [
@@ -178,6 +181,61 @@ class TestLoadDataset:
             ColumnSpec(name="a", kind="weird")
         with pytest.raises(SchemaError):
             ColumnSpec(name="a", role="weird")
+
+
+def write_raw(tmp_path, data, columns):
+    """A dataset file holding exactly ``data`` (bytes) and its schema; (data_path, schema_path)."""
+    data_path = tmp_path / "raw.csv"
+    data_path.write_bytes(data)
+    schema_path = tmp_path / "raw.schema.json"
+    schema_path.write_text(json.dumps({"name": "raw", "columns": columns}))
+    return data_path, schema_path
+
+
+class TestLineSplitting:
+    """csv splits the rows, so quoted line breaks and Unicode separators stay in their cells."""
+
+    TWO = [{"name": "a"}, {"name": "b", "kind": "nominal"}]
+
+    def test_quoted_line_break_stays_in_its_cell(self, tmp_path):
+        ds = load_dataset(*write_raw(tmp_path, b'a,b\n1,"x\ny"\n2,z\n', self.TWO))
+        assert ds.values[1].tolist() == ["x\ny", "z"]
+        assert ds.values[0].tolist() == [1.0, 2.0]
+
+    def test_unicode_line_separator_is_cell_text(self, tmp_path):
+        ds = load_dataset(*write_raw(tmp_path, "a,b\n1,p\n2,x\u2028y\n".encode(), self.TWO))
+        assert ds.values[1].tolist() == ["p", "x\u2028y"]
+
+    def test_errors_name_the_physical_line_after_a_multiline_cell(self, tmp_path):
+        paths = write_raw(tmp_path, b'a,b\n1,"x\ny"\noops,z\n', self.TWO)
+        with pytest.raises(DatasetParseError) as err:
+            load_dataset(*paths)
+        assert (err.value.line, err.value.column) == (4, 1)
+
+    def test_byte_order_mark_is_not_header_text(self, tmp_path):
+        data = b"\xef\xbb\xbfa,b\n1,p\n"
+        data_path, schema_path = write_raw(tmp_path, data, self.TWO)
+        ds = load_dataset(data_path, schema_path)
+        assert ds.values[0].tolist() == [1.0]
+        assert ds.provenance["sha256"] == hashlib.sha256(data).hexdigest()
+
+    def test_csv_error_is_a_parse_error(self, tmp_path):
+        # one quoted cell past the csv module's field size limit
+        paths = write_raw(tmp_path, b'a,b\n1,p\n2,"' + b"x" * 200_000 + b'"\n', self.TWO)
+        with pytest.raises(DatasetParseError, match="field limit") as err:
+            load_dataset(*paths)
+        assert err.value.line == 3
+
+    def test_undecodable_file_is_a_parse_error(self, tmp_path):
+        paths = write_raw(tmp_path, b"a,b\n1,\xff\n", self.TWO)
+        with pytest.raises(DatasetParseError, match="not UTF-8"):
+            load_dataset(*paths)
+
+    def test_bundled_checksums_are_of_the_file_bytes(self, canonical_pairs):
+        for data_path, schema_path in canonical_pairs:
+            ds = load_dataset(data_path, schema_path)
+            expected = hashlib.sha256(Path(data_path).read_bytes()).hexdigest()
+            assert ds.provenance["sha256"] == expected
 
 
 class TestNormalize:
