@@ -332,20 +332,20 @@ def _ordered_datasets(report):
     return canonical + extra
 
 
+def _observed(report, name, reducer, value_of):
+    """A grid cell's value as the tables print it: "-" without a report, "ERROR" if it failed."""
+    if report is None:
+        return "-"
+    cell = report.cell(name, reducer)
+    return "ERROR" if cell.failed else value_of(cell)
+
+
 def _table_rows(report, value_of):
     names = _ordered_datasets(report)
     rows = [["reduction"] + [DISPLAY_NAMES.get(n, n) for n in names]]
     for reducer in report.config.reducers:
-        row = [ROW_LABELS.get(reducer, reducer)]
-        for name in names:
-            cell = report.cells.get((name, reducer))
-            if cell is None:
-                row.append("")
-            elif cell.failed:
-                row.append("ERROR")
-            else:
-                row.append(value_of(cell))
-        rows.append(row)
+        observed = [_observed(report, name, reducer, value_of) for name in names]
+        rows.append([ROW_LABELS.get(reducer, reducer)] + observed)
     return rows
 
 
@@ -409,10 +409,9 @@ def emit_report(report, out_dir):
         "datasets": _ordered_datasets(report),
         "warnings": list(report.warnings),
         "cells": [
-            _cell_payload(report.cells[(name, reducer)])
+            _cell_payload(report.cell(name, reducer))
             for name in _ordered_datasets(report)
             for reducer in report.config.reducers
-            if (name, reducer) in report.cells
         ],
     }
     if not report.cells:
@@ -434,13 +433,13 @@ def pca_threshold_sweep(report):
     """Retained PCA dimensions per dataset for each sweep threshold.
 
     Rows: (dataset, threshold, retained, reference, match) for each PCA cell
-    of ``report``, in dataset order, read from the spectrum the cell's fit
-    kept: the count ``pca_fit(variance_threshold=t)`` keeps. A cell whose fit
-    failed gets "ERROR" rows; one whose fit succeeded keeps its counts even
-    if a later stage failed.
+    of ``report``, datasets in the tables' order, read from the spectrum the
+    cell's fit kept: the count ``pca_fit(variance_threshold=t)`` keeps. A
+    cell whose fit failed gets "ERROR" rows; one whose fit succeeded keeps
+    its counts even if a later stage failed.
     """
     rows = []
-    for name in report.dataset_names:
+    for name in _ordered_datasets(report):
         cell = report.cells.get((name, "pca"))
         if cell is None:
             continue
@@ -468,8 +467,7 @@ def write_comparison_files(out_dir, normalized_report, raw_report):
     attributes = ["dataset reducer reference observed status".split()]
     for name in names:
         for reducer in primary.config.reducers:
-            cell = primary.cells.get((name, reducer))
-            observed = "ERROR" if cell is None or cell.failed else cell.attribute_count
+            observed = _observed(primary, name, reducer, lambda c: c.attribute_count)
             reference = REFERENCE_ATTRIBUTE_COUNTS.get(reducer, {}).get(name, "")
             if (reducer, name) in KNOWN_DEVIATIONS and observed != reference:
                 status = KNOWN_DEVIATIONS[(reducer, name)]
@@ -482,21 +480,13 @@ def write_comparison_files(out_dir, normalized_report, raw_report):
             attributes.append((name, reducer, reference, observed, status))
     files = {"attribute_comparison.tsv": _delimited(attributes)}
 
-    def observed_clusters(report, name, reducer):
-        if report is None:
-            return "-"
-        cell = report.cells.get((name, reducer))
-        if cell is None or cell.failed:
-            return "ERROR"
-        return cell.n_clusters
-
     clusters = [("dataset reducer reference observed_normalized observed_raw"
                  " match_normalized match_raw").split()]
     for name in names:
         for reducer in primary.config.reducers:
             reference = REFERENCE_CLUSTER_COUNTS.get(reducer, {}).get(name, "")
-            obs_n = observed_clusters(normalized_report, name, reducer)
-            obs_r = observed_clusters(raw_report, name, reducer)
+            obs_n = _observed(normalized_report, name, reducer, lambda c: c.n_clusters)
+            obs_r = _observed(raw_report, name, reducer, lambda c: c.n_clusters)
             matches = [str(obs == reference).lower() for obs in (obs_n, obs_r)]
             clusters.append((name, reducer, reference, obs_n, obs_r, *matches))
     files["cluster_comparison.tsv"] = _delimited(clusters)

@@ -22,7 +22,8 @@ from .errors import InvalidConfigError, RedclustError
 from .model_io import MODEL_TYPES, save_model
 from .reference import REDUCER_ORDER
 
-# config-file key -> the types its BenchmarkConfig field accepts (NoneType where Optional)
+# BenchmarkConfig field (a config-file key and a flag's dest) -> the types it
+# accepts (NoneType where Optional)
 _CONFIG_TYPES = {
     f.name: typing.get_args(f.type) or (f.type,)
     for f in fields(BenchmarkConfig)
@@ -60,7 +61,9 @@ def build_parser():
         p.add_argument("--out", default=None, help="output directory (default ./redclust-out)")
         p.add_argument(
             "--no-normalize",
-            action="store_true",
+            dest="normalize",
+            action="store_false",
+            default=None,
             help="skip z-normalization of numeric attributes",
         )
 
@@ -80,9 +83,22 @@ def build_parser():
         )
         p.add_argument(
             "--variance-threshold",
+            dest="pca_variance_threshold",
+            metavar="VARIANCE_THRESHOLD",
             type=float,
             default=None,
             help="cumulative variance threshold for pca (default 0.95)",
+        )
+
+    def add_dbscan_flags(p):
+        p.add_argument("--eps", type=float, default=None, help="DBSCAN radius (default 1)")
+        p.add_argument(
+            "--minpts",
+            dest="min_pts",
+            metavar="MINPTS",
+            type=int,
+            default=None,
+            help="DBSCAN density threshold (default 5)",
         )
 
     p_reduce = sub.add_parser("reduce", help="fit a reducer and write the reduced dataset")
@@ -93,20 +109,14 @@ def build_parser():
     p_cluster = sub.add_parser("cluster", help="run DBSCAN and write the assignment")
     add_common(p_cluster)
     add_reducer_flags(p_cluster)
-    p_cluster.add_argument("--eps", type=float, default=None, help="DBSCAN radius (default 1)")
-    p_cluster.add_argument(
-        "--minpts", type=int, default=None, help="DBSCAN density threshold (default 5)"
-    )
+    add_dbscan_flags(p_cluster)
 
     p_bench = sub.add_parser(
         "bench", help="run the full (dataset x reducer) benchmark grid and emit reports"
     )
     add_common(p_bench, multi_dataset=True)
     add_reducer_flags(p_bench)
-    p_bench.add_argument("--eps", type=float, default=None, help="DBSCAN radius (default 1)")
-    p_bench.add_argument(
-        "--minpts", type=int, default=None, help="DBSCAN density threshold (default 5)"
-    )
+    add_dbscan_flags(p_bench)
     p_bench.add_argument("--em-k", type=int, default=None, help="EM mixture size (default 2)")
     p_bench.add_argument("--em-runs", type=int, default=None, help="EM restarts (default 5)")
     p_bench.add_argument(
@@ -162,38 +172,25 @@ def _check_config_type(key, value):
     raise UsageError(f"config file key {key!r} must be {expected}, got {value!r}")
 
 
-def merge_config(args, flag_map):
+def merge_config(args):
     """defaults <- config file <- explicit flags, in that order.
 
+    A flag's dest is the config field it sets; a flag left out is None.
     ``--k`` sets both svd_k and pca_k, so it means the same in every subcommand.
     """
     config = BenchmarkConfig()
-    if getattr(args, "config", None):
+    if args.config:
         for key, value in load_config_file(args.config).items():
             setattr(config, key, value)
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
+    for key in _CONFIG_TYPES:
+        value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
-    if getattr(args, "k", None) is not None:
+    if args.k is not None:
         if args.k < 1:
             raise UsageError(f"--k must be >= 1, got {args.k}")
         config.svd_k = config.pca_k = args.k
-    if getattr(args, "no_normalize", False):
-        config.normalize = False
     return config
-
-
-_FLAG_MAP = {
-    "seed": "seed",
-    "eps": "eps",
-    "minpts": "min_pts",
-    "em_k": "em_k",
-    "em_runs": "em_runs",
-    "em_steps": "em_steps",
-    "em_quality": "em_quality",
-    "variance_threshold": "pca_variance_threshold",
-}
 
 
 def _dataset_pairs(args):
@@ -213,32 +210,29 @@ def _out_dir(args):
     return Path(args.out) if args.out else Path("redclust-out")
 
 
-def _one_reducer(args, default):
-    """The single --reducer that reduce and cluster take, or ``default``."""
-    if args.reducer is None:
-        return default
-    if len(args.reducer) > 1:
-        raise UsageError(f"{args.command} takes one --reducer, got {len(args.reducer)}")
-    return args.reducer[0]
+def _fit_first_table(args, default_reducer):
+    """reduce's and cluster's one path: (config, reducer, ds, model, reduced).
 
-
-def _load_work(config, pair):
-    """The loaded dataset and the table its reducer runs on, normalized as the bench grid is."""
-    ds = load_dataset(*pair)
-    return ds, _working_tables([ds], config.normalize)[0]
+    The one --reducer (or ``default_reducer``) is fitted to the loaded table,
+    normalized as the bench grid is. Usage errors come before any loading.
+    """
+    config = merge_config(args)
+    reducers = args.reducer or [default_reducer]
+    if len(reducers) > 1:
+        raise UsageError(f"{args.command} takes one --reducer, got {len(reducers)}")
+    reducer = reducers[0]
+    if getattr(args, "save_model", None) and reducer not in MODEL_TYPES:
+        raise UsageError(f"--save-model applies to {', '.join(MODEL_TYPES)} only, not {reducer}")
+    config.datasets = _dataset_pairs(args)[:1]
+    _validate_usage(config)
+    ds = load_dataset(*config.datasets[0])
+    work = _working_tables([ds], config.normalize)[0]
+    model, reduced = fit_reducer(reducer, work, config, config.seed)
+    return config, reducer, ds, model, reduced
 
 
 def cmd_reduce(args):
-    config = merge_config(args, _FLAG_MAP)
-    reducer = _one_reducer(args, "pca")
-    if args.save_model and reducer not in MODEL_TYPES:
-        raise UsageError(f"--save-model applies to {', '.join(MODEL_TYPES)} only, not {reducer}")
-    pair = _dataset_pairs(args)[0]
-    config.datasets = [pair]
-    _validate_usage(config)
-    ds, work = _load_work(config, pair)
-    model, reduced = fit_reducer(reducer, work, config, config.seed)
-
+    _, reducer, ds, model, reduced = _fit_first_table(args, "pca")
     out_dir = _out_dir(args)
     out_path = out_dir / f"{ds.name}_{reducer}_reduced.csv"
     rows = [[f"c{i + 1}" for i in range(reduced.k)]] + reduced.data.tolist()
@@ -252,13 +246,7 @@ def cmd_reduce(args):
 
 
 def cmd_cluster(args):
-    config = merge_config(args, _FLAG_MAP)
-    reducer = _one_reducer(args, "none")
-    pair = _dataset_pairs(args)[0]
-    config.datasets = [pair]
-    _validate_usage(config)
-    ds, work = _load_work(config, pair)
-    _, reduced = fit_reducer(reducer, work, config, config.seed)
+    config, reducer, ds, _, reduced = _fit_first_table(args, "none")
     assignment = dbscan(reduced.data, eps=config.eps, min_pts=config.min_pts, schema=reduced.schema)
 
     rows = [["row", "cluster", "role"]]
@@ -288,7 +276,7 @@ def cmd_cluster(args):
 
 
 def cmd_bench(args):
-    config = merge_config(args, _FLAG_MAP)
+    config = merge_config(args)
     if args.reducer is not None:
         config.reducers = tuple(r for r in REDUCER_ORDER if r in args.reducer)
     config.datasets = _dataset_pairs(args)

@@ -185,9 +185,10 @@ def load_dataset(data_path, schema):
 
     ``schema`` is a path to a JSON descriptor or an already-read descriptor
     dict. The file is UTF-8, with or without a byte-order mark; a quoted
-    cell may span lines. Parse failures name the offending physical line
-    (a row's last) and column; declared attribute counts and (when
-    present) expected row counts are enforced.
+    cell may span lines, but a quote left open or text after a closing
+    quote is a DatasetParseError (RFC 4180). Parse failures name the
+    offending physical line (a row's last) and column; declared attribute
+    counts and (when present) expected row counts are enforced.
     """
     if not isinstance(schema, dict):
         schema = read_schema(schema)
@@ -201,7 +202,9 @@ def load_dataset(data_path, schema):
         raise DatasetParseError(f"dataset {data_path} is not UTF-8: {exc}") from None
 
     # csv splits rows itself: only then does a quoted line break stay in its cell
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter=schema["delimiter"])
+    reader = csv.reader(
+        io.StringIO(text, newline=""), delimiter=schema["delimiter"], strict=True
+    )
     rows = _numbered_rows(reader, data_path)  # streamed: the rows are never all held at once
     first = next(rows, None)
     if first is None:
@@ -255,8 +258,7 @@ def load_dataset(data_path, schema):
         if spec.kind == "numeric":
             values.append(np.asarray(raw, dtype=float))
         else:
-            # intern repeated nominal strings
-            values.append(np.asarray([str(v) for v in raw], dtype=object))
+            values.append(np.asarray(raw, dtype=object))
 
     checksum = hashlib.sha256(raw_bytes).hexdigest()
     return Dataset(

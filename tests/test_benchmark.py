@@ -23,6 +23,7 @@ from redclust.errors import (
 )
 from redclust.model_io import load_model, model_from_dict, model_to_dict, save_model
 from redclust.reducers import fastica_fit, pca_fit, som_fit
+from redclust.reference import ROW_LABELS
 
 
 def fast_config(pairs, **overrides):
@@ -380,6 +381,41 @@ class TestFullBenchmark:
         sweep = [line.split("\t") for line in
                  (out / "pca_threshold_sweep.tsv").read_text().splitlines()[1:]]
         assert [row[2] for row in sweep] == [str(k) for k in expected]
+
+
+    def test_failed_cell_reads_error_in_every_table(self, monkeypatch, tmp_path, tiny_pair):
+        def broken(*args, **kwargs):
+            raise RuntimeError("svd broke")
+
+        monkeypatch.setattr(bench, "svd_reduce", broken)
+        out = tmp_path / "full"
+        run_full_benchmark(fast_config([tiny_pair], reducers=("svd", "none")), out)
+        for variant in ("normalized", "raw"):
+            for table in ("table_attributes.tsv", "table_time_ms.tsv", "table_clusters.tsv"):
+                _, svd_row, none_row = tsv(out / variant / table)
+                assert svd_row == [ROW_LABELS["svd"], "ERROR"]
+                assert none_row[1] != "ERROR"
+        _, svd_row, none_row = tsv(out / "attribute_comparison.tsv")
+        assert svd_row[:4] == ["tiny", "svd", "", "ERROR"]
+        assert none_row[3] == "3"
+        _, svd_row, none_row = tsv(out / "cluster_comparison.tsv")
+        assert svd_row[3:5] == ["ERROR", "ERROR"]
+        assert "ERROR" not in none_row
+
+    def test_sweep_lists_datasets_in_table_order(self, tmp_path, tiny_pair, canonical_pairs):
+        # canonical datasets first, as in the tables, whatever order they were given in
+        out = tmp_path / "full"
+        run_full_benchmark(fast_config([tiny_pair, canonical_pairs[0]], reducers=("pca",)), out)
+        header = tsv(out / "normalized" / "table_attributes.tsv")[0]
+        assert header == ["reduction", "E-coli", "tiny"]
+        assert [row[0] for row in tsv(out / "attribute_comparison.tsv")[1:]] == ["e-coli", "tiny"]
+        sweep = [row[0] for row in tsv(out / "pca_threshold_sweep.tsv")[1:]]
+        assert sweep == ["e-coli"] * 4 + ["tiny"] * 4
+        assert [row[0] for row in tsv(out / "pca_threshold_summary.tsv")[1:]] == ["e-coli", "tiny"]
+
+
+def tsv(path):
+    return [line.split("\t") for line in path.read_text().splitlines()]
 
 
 class TestModelIo:

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import re
 
@@ -5,8 +7,9 @@ import numpy as np
 import pytest
 
 import redclust.benchmark as bench
+import redclust.cli as cli
 from redclust.benchmark import BenchmarkConfig, fit_reducer
-from redclust.cli import main
+from redclust.cli import build_parser, main
 from redclust.dataset import load_dataset, normalize
 from redclust.model_io import load_model
 
@@ -349,7 +352,66 @@ class TestCluster:
         assert stdout == ""
 
 
+# the arguments that name inputs, outputs or actions rather than a BenchmarkConfig field
+NON_CONFIG_DESTS = {
+    "command", "dataset", "schema", "config", "out", "reducer", "k", "save_model",
+    "timing_check", "help",
+}
+
+
 class TestConfigPrecedence:
+    def test_every_flag_dest_is_a_config_field(self):
+        # a flag sets the config field its dest names; merge_config keeps no map of its own
+        config_fields = {f.name for f in dataclasses.fields(BenchmarkConfig)}
+        parser = build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for name, sub in [("redclust", parser), *subparsers.choices.items()]:
+            for action in sub._actions:
+                assert action.dest in config_fields | NON_CONFIG_DESTS, (name, action.dest)
+
+    @pytest.mark.parametrize(
+        "flags, field, file_value, flag_value",
+        [
+            (["--eps", "3.0"], "eps", 2.5, 3.0),
+            (["--minpts", "7"], "min_pts", 3, 7),
+            (["--variance-threshold", "0.9"], "pca_variance_threshold", 0.5, 0.9),
+            (["--no-normalize"], "normalize", True, False),
+            (["--seed", "5"], "seed", 3, 5),
+            (["--em-k", "3"], "em_k", 4, 3),
+            (["--em-runs", "2"], "em_runs", 4, 2),
+            (["--em-steps", "7"], "em_steps", 50, 7),
+            (["--em-quality", "1e-06"], "em_quality", 1e-3, 1e-6),
+        ],
+    )
+    def test_each_flag_overrides_its_config_file_key(
+        self, capsys, monkeypatch, tiny_pair, tmp_path, flags, field, file_value, flag_value
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: file_value}))
+        configs = []
+        monkeypatch.setattr(cli, "run_full_benchmark", lambda c, out: configs.append(c) or {})
+        argv = ["bench", "--dataset", tiny_pair[0], "--schema", tiny_pair[1], "--config", str(cfg),
+                "--out", str(tmp_path / "out")]
+        for extra in ([], flags):
+            code, _, err = run(argv + extra, capsys)
+            assert code == 0, err
+        assert [getattr(c, field) for c in configs] == [file_value, flag_value]
+
+    def test_cluster_flags_reach_the_summary(self, capsys, tiny_pair, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"min_pts": 3, "normalize": True,
+                                   "pca_variance_threshold": 0.5}))
+        out = tmp_path / "c"
+        code, _, err = run(
+            ["cluster", "--dataset", tiny_pair[0], "--schema", tiny_pair[1], "--config", str(cfg),
+             "--reducer", "pca", "--minpts", "5", "--variance-threshold", "0.9",
+             "--no-normalize", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0, err
+        summary = json.loads((out / "tiny_clustering.json").read_text())
+        assert (summary["minpts"], summary["normalized"]) == (5, False)
+
     def test_config_file_overrides_defaults(self, capsys, tiny_pair, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"eps": 2.5}))
@@ -491,6 +553,20 @@ class TestBench:
         assert (out / "cluster_comparison.tsv").is_file()
         assert (out / "pca_threshold_sweep.tsv").is_file()
         assert "normalized: 5 cells" in stdout
+
+    def test_no_normalize_comparison_has_no_normalized_counts(self, capsys, tiny_pair, tmp_path):
+        out = tmp_path / "bench"
+        code, _, err = run(
+            ["bench", "--dataset", tiny_pair[0], "--schema", tiny_pair[1], "--reducer", "svd",
+             "--reducer", "none", "--no-normalize", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0, err
+        header, *rows = [line.split("\t") for line in
+                         (out / "cluster_comparison.tsv").read_text().splitlines()]
+        normalized, raw = header.index("observed_normalized"), header.index("observed_raw")
+        assert [row[normalized] for row in rows] == ["-", "-"]
+        assert all(row[raw].isdigit() for row in rows)
 
     def test_bench_reducer_flag_restricts_grid(self, capsys, tiny_pair, tmp_path):
         out = tmp_path / "bench"

@@ -226,6 +226,20 @@ class TestLineSplitting:
             load_dataset(*paths)
         assert err.value.line == 3
 
+    def test_unterminated_quote_is_a_parse_error(self, tmp_path):
+        # not one row whose cell swallows the rest of the file
+        paths = write_raw(tmp_path, b'a,b\n1,"p\n2,q\n3,r\n', self.TWO)
+        with pytest.raises(DatasetParseError, match="unexpected end of data") as err:
+            load_dataset(*paths)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("cell", [b'"p"x', b'"p" '])
+    def test_text_after_a_closing_quote_is_a_parse_error(self, tmp_path, cell):
+        paths = write_raw(tmp_path, b"a,b\n1," + cell + b"\n2,q\n", self.TWO)
+        with pytest.raises(DatasetParseError, match="expected after") as err:
+            load_dataset(*paths)
+        assert err.value.line == 2
+
     def test_undecodable_file_is_a_parse_error(self, tmp_path):
         paths = write_raw(tmp_path, b"a,b\n1,\xff\n", self.TWO)
         with pytest.raises(DatasetParseError, match="not UTF-8"):
