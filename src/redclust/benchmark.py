@@ -510,15 +510,18 @@ def write_comparison_files(out_dir, normalized_report, raw_report):
     write_texts(out_dir, files)
 
 
-def run_full_benchmark(config, out_dir):
+def run_full_benchmark(config, out_dir, datasets=None):
     """The bench entry point: both normalization variants plus comparison files.
 
     With config.normalize False only the raw variant runs (emitted under
     raw/); otherwise normalized/ and raw/ both appear, mirroring the open
     question of whether eps applies to normalized or raw attributes.
+    ``datasets`` are config.datasets as ``load_config_datasets`` returns
+    them; they are loaded here when not given.
     """
     config.validate()
-    datasets = load_config_datasets(config)  # any load failure precedes output creation
+    if datasets is None:
+        datasets = load_config_datasets(config)  # any load failure precedes output creation
     out_dir = Path(out_dir)
     write_texts(out_dir, {})  # an unusable --out fails before any cell runs
 

@@ -15,7 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .benchmark import BenchmarkConfig, _delimited, _working_tables, fit_reducer
-from .benchmark import paired_dbscan_timing, run_full_benchmark, write_texts
+from .benchmark import load_config_datasets, paired_dbscan_timing, run_full_benchmark, write_texts
 from .dataset import load_dataset
 from .density import cluster_count, dbscan
 from .errors import InvalidConfigError, RedclustError
@@ -282,7 +282,12 @@ def cmd_bench(args):
     config.datasets = _dataset_pairs(args)
     _validate_usage(config)
     out_dir = _out_dir(args)
-    reports = run_full_benchmark(config, out_dir)
+    if args.timing_check:
+        # the timing check runs on the grid's first table, loaded once
+        datasets = load_config_datasets(config)
+        reports = run_full_benchmark(config, out_dir, datasets)
+    else:
+        reports = run_full_benchmark(config, out_dir)
     for variant, report in reports.items():
         failed = sum(1 for c in report.cells.values() if c.failed)
         print(
@@ -291,8 +296,7 @@ def cmd_bench(args):
             f"{failed} failed"
         )
     if args.timing_check:
-        pair = config.datasets[0]
-        ds = load_dataset(*pair)
+        ds = datasets[0]
         reduced_ms, unreduced_ms = paired_dbscan_timing(ds, config)
         print(
             f"paired DBSCAN timing on {ds.name}: svd(k=1) median {reduced_ms:.1f} ms "

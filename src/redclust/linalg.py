@@ -106,12 +106,17 @@ def _one_sided_jacobi(a):
     scales |gamma| by sqrt(alpha) * sqrt(beta): for two columns far below the
     largest, alpha * beta underflows to 0 and the sweep would never stop.
     ``sq_norms`` caches each column's squared norm; a rotation recomputes
-    only the two columns it touches.
+    only the two columns it touches. w sits above v in one (m + n) x n
+    array, so a rotation is one product of its two columns with ``rot``.
     """
     m, n = a.shape
-    exponent = math.frexp(float(np.max(np.abs(a))))[1]
-    w = np.ldexp(a, -exponent)
-    v = np.eye(n)
+    exponent = math.frexp(float(np.abs(a).max()))[1]
+    wv = np.empty((m + n, n))
+    w = wv[:m]
+    v = wv[m:]
+    np.ldexp(a, -exponent, out=w)
+    v[...] = np.eye(n)
+    rot = np.empty((2, 2))
     cols = [w[:, j] for j in range(n)]
     sq_norms = [float(c @ c) for c in cols]
     cap = _SWEEP_CAP_FACTOR * n * n
@@ -136,11 +141,12 @@ def _one_sided_jacobi(a):
                 t = sgn / (abs(zeta) + np.hypot(1.0, zeta))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                for mat in (w, v):
-                    pair = mat.take((p, q), axis=1) @ rot
-                    mat[:, p] = pair[:, 0]
-                    mat[:, q] = pair[:, 1]
+                rot[0, 0] = rot[1, 1] = c
+                rot[0, 1] = s
+                rot[1, 0] = -s
+                pair = wv.take((p, q), axis=1) @ rot
+                wv[:, p] = pair[:, 0]
+                wv[:, q] = pair[:, 1]
                 sq_norms[p] = float(wp @ wp)
                 sq_norms[q] = float(wq @ wq)
                 rotated = True
@@ -203,16 +209,26 @@ def sym_eig(x):
     an exactly 0.0 eigenvalue, unless sigma is so small against the largest
     singular value that the rank cutoff zeroes it (then it reads -sigma).
 
+    An input whose norms, row sums or shift could overflow is first scaled
+    by a power of two, 2**-k, and its eigenvalues by 2**k afterwards; any
+    other input is left as it is, so it rounds exactly as unscaled.
+
     Returns EigenPairs with eigenvalues sorted descending and orthonormal
     column eigenvectors, each sign-fixed so its largest-magnitude entry is
-    positive. Raises InvalidInputError when the input is not symmetric to
-    1e-10 relative.
+    positive. Raises InvalidInputError when the input is not symmetric,
+    ||A - A^T|| > 1e-10 * max(1, ||A||), or has an eigenvalue beyond the
+    float range.
     """
     a = as_matrix(x, "sym_eig input")
     n = a.shape[0]
     if a.shape[1] != n:
         raise InvalidInputError(f"sym_eig input must be square, got {a.shape}")
-    if frobenius(a - a.T) > 1e-10 * max(1.0, frobenius(a)):
+    # max|a| < 2**(510 - bit_length(n)) keeps every squared norm below
+    # (2 n max|a|)**2 < 2**1022
+    k = max(0, math.frexp(float(np.abs(a).max()))[1] + n.bit_length() - 510)
+    if k:
+        a = np.ldexp(a, -k)
+    if frobenius(a - a.T) > 1e-10 * max(math.ldexp(1.0, -k), frobenius(a)):
         raise InvalidInputError("sym_eig input is not symmetric")
 
     w = (a + a.T) / 2.0
@@ -221,7 +237,12 @@ def sym_eig(x):
     shift = max(0.0, float(np.max(off_row_sums - diag)))
     _, s, vectors, exponent = _one_sided_jacobi(w + shift * np.eye(n))
     _sign_fix_columns(vectors)
-    return EigenPairs(values=np.ldexp(s, exponent) - shift, vectors=vectors)
+    values = np.ldexp(s, exponent) - shift
+    if k:
+        if np.abs(values).max() > math.ldexp(np.finfo(float).max, -k):
+            raise InvalidInputError("sym_eig input has an eigenvalue beyond the float range")
+        values = np.ldexp(values, k)
+    return EigenPairs(values=values, vectors=vectors)
 
 
 def center(x):
@@ -253,13 +274,13 @@ def orthogonalize(w):
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"orthogonalize input must be square, got {a.shape}")
     gram = a @ a.T
-    scale = np.max(np.sum(np.abs(gram), axis=0))
+    scale = np.abs(gram).sum(axis=0).max()
     if scale > 0.0:
         eye = np.eye(a.shape[0])
         v = a / np.sqrt(scale)
         gram = gram / scale
         for _ in range(_POLAR_STEPS):
-            if np.max(np.abs(gram - eye)) <= _POLAR_TOL:
+            if np.abs(gram - eye).max() <= _POLAR_TOL:
                 return v
             v = 1.5 * v - 0.5 * (gram @ v)
             gram = v @ v.T

@@ -125,8 +125,8 @@ def fastica_fit(
     for iteration in range(1, max_iter + 1):
         y = whitened @ w.T  # rows are y = W x per sample
         gy, g_prime_y = contrast(y)
-        w_new = orthogonalize((gy.T @ whitened) / n - g_prime_y.mean(axis=0)[:, None] * w)
-        drift = np.max(np.abs(1.0 - np.abs(np.sum(w_new * w, axis=1))))
+        w_new = orthogonalize((gy.T @ whitened) / n - (g_prime_y.sum(axis=0) / n)[:, None] * w)
+        drift = np.abs(1.0 - np.abs((w_new * w).sum(axis=1))).max()
         w = w_new
         if drift < tol:
             converged = True

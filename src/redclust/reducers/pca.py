@@ -37,15 +37,31 @@ class PcaModel:
         return self.basis.shape[0]
 
 
+# (shape, bytes) of the last matrix covariance_eig decomposed, and its result
+_last_covariance = None
+
+
 def covariance_eig(x):
     """Center the rows of ``x`` and eigendecompose their sample covariance.
 
     Returns (centered, mean, EigenPairs), eigenvalues descending. PCA and
-    FastICA's whitening both start from this one decomposition.
+    FastICA's whitening both start from this one decomposition, so the last
+    result is kept and returned again, read-only, for an identical matrix:
+    a PCA fit and a FastICA fit on one table decompose it once.
     """
+    global _last_covariance
+    x = np.asarray(x, dtype=float)
+    key = (x.shape, x.tobytes())
+    if _last_covariance is not None and _last_covariance[0] == key:
+        return _last_covariance[1]
     centered, mean = center(x)
     cov = (centered.T @ centered) / (x.shape[0] - 1)
-    return centered, mean, sym_eig(cov)
+    pairs = sym_eig(cov)
+    result = (centered, mean, pairs)
+    for array in (centered, mean, pairs.values, pairs.vectors):
+        array.setflags(write=False)
+    _last_covariance = (key, result)
+    return result
 
 
 def retained_for_threshold(eigenvalues, threshold):

@@ -77,9 +77,14 @@ def _squared_distances(row_terms, codebook, out=None):
     return out
 
 
+def _mean_root(nearest):
+    """Mean Euclidean distance to the nearest prototype, from each row's squared one."""
+    return float(np.mean(np.sqrt(np.maximum(nearest, 0.0))))
+
+
 def _mean_nearest(distances):
     """Mean Euclidean distance from each row to its nearest prototype, from squared distances."""
-    return float(np.mean(np.sqrt(np.maximum(distances.min(axis=1), 0.0))))
+    return _mean_root(distances.min(axis=1))
 
 
 def quantization_error(codebook, x):
@@ -121,21 +126,30 @@ def som_fit(x, width, height, epochs=100, radius0=None, seed=0):
 
     coords = grid.grid_coords()
     gd = coords[:, None, :] - coords[None, :, :]
-    grid_sq = np.sum(gd * gd, axis=2)  # [b, j]: squared grid distance of node j from node b
+    # [b, j]: squared grid distance of node j from node b, as an index into
+    # its few distinct values, so each epoch takes exp of those values only
+    grid_levels, grid_index = np.unique(np.sum(gd * gd, axis=2).ravel(), return_inverse=True)
 
+    rows = np.arange(x.shape[0])
+    columns = np.arange(dim)
+    flat_x = x.ravel()
     row_terms = _row_terms(x)
     distances = _squared_distances(row_terms, codebook)
-    qe_log = [_mean_nearest(distances)]
+    bmu = distances.argmin(axis=1)
+    qe_log = [_mean_root(distances[rows, bmu])]
     for epoch in range(epochs):
         radius = _decayed(radius0, RADIUS_FLOOR, epoch, epochs)
-        h = np.exp(-grid_sq / (2.0 * radius * radius))  # [b, j]: weight of BMU b's rows on node j
-        bmu = distances.argmin(axis=1)
-        sums = np.zeros((nodes, dim))
-        np.add.at(sums, bmu, x)
+        # [b, j]: weight of BMU b's rows on node j
+        h = np.exp(-grid_levels / (2.0 * radius * radius))[grid_index].reshape(nodes, nodes)
+        # bin b * dim + j adds x[:, j] over BMU b's rows, in row order, as np.add.at would
+        keys = (bmu[:, None] * dim + columns).ravel()
+        sums = np.bincount(keys, weights=flat_x, minlength=nodes * dim).reshape(nodes, dim)
         weight = h.T @ np.bincount(bmu, minlength=nodes).astype(float)
         moved = weight >= _TINY
         codebook[moved] = (h.T @ sums)[moved] / weight[moved, None]
-        qe_log.append(_mean_nearest(_squared_distances(row_terms, codebook, out=distances)))
+        _squared_distances(row_terms, codebook, out=distances)
+        bmu = distances.argmin(axis=1)
+        qe_log.append(_mean_root(distances[rows, bmu]))
 
     grid.qe_log = qe_log
     return grid

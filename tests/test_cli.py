@@ -661,6 +661,26 @@ class TestBench:
             re.MULTILINE,
         )
 
+    def test_timing_check_loads_the_table_once(self, monkeypatch, capsys, tiny_pair, tmp_path):
+        # the timing check reads the table the grid ran on instead of loading it again
+        loads = []
+        load = bench.load_dataset
+
+        def counting(*a):
+            loads.append(a)
+            return load(*a)
+
+        monkeypatch.setattr(bench, "load_dataset", counting)
+        monkeypatch.setattr(cli, "load_dataset", counting)
+        code, stdout, err = run(
+            ["bench", "--dataset", tiny_pair[0], "--schema", tiny_pair[1], "--reducer", "svd",
+             "--timing-check", "--out", str(tmp_path / "bench")],
+            capsys,
+        )
+        assert code == 0, err
+        assert "paired DBSCAN timing on tiny" in stdout
+        assert len(loads) == 1
+
     def test_mismatched_dataset_schema_counts(self, capsys, tiny_pair, tmp_path):
         code, _, err = run(
             ["bench", "--dataset", tiny_pair[0], "--dataset", tiny_pair[0],

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,44 @@ class TestSymEig:
         assert reconstruction_error(TINY_COLUMNS, f) <= 1e-12
         assert np.max(np.abs(f.u.T @ f.u - np.eye(3))) <= 1e-12
         assert np.max(np.abs(f.v.T @ f.v - np.eye(3))) <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entries_near_the_float_range(self):
+        # every eigenvalue is finite, but the diagonal plus the Gershgorin shift overflows
+        b = np.random.default_rng(9).uniform(-1.25e307, 1.25e307, size=(12, 12))
+        a = b + b.T
+        diag = np.diag(a)
+        shift = np.max(np.abs(a - np.diag(diag)).sum(axis=1) - diag)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(diag + shift).all()
+        start = time.perf_counter()
+        pairs = sym_eig(a)
+        assert time.perf_counter() - start < 0.5
+        ref = np.sort(np.linalg.eigvalsh(a / 2.0**600) * 2.0**600)[::-1]
+        assert np.max(np.abs(pairs.values - ref)) <= 1e-12 * np.abs(ref).max()
+        assert np.max(np.abs(pairs.vectors.T @ pairs.vectors - np.eye(12))) <= 1e-12
+        assert_sign_convention(pairs.vectors)
+
+    @pytest.mark.parametrize("scale", [2.0**700, 2.0**-700])
+    def test_power_of_two_scaling_near_the_float_range_is_exact(self, scale):
+        # 2**700 puts the input past the overflow guard, which scales it back
+        a = self.SEPARATED["wide spread"]
+        pairs, scaled = sym_eig(a), sym_eig(scale * a)
+        assert np.array_equal(scaled.values, scale * pairs.values)
+        assert np.array_equal(scaled.vectors, pairs.vectors)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_eigenvalue_beyond_the_float_range_rejected(self):
+        with pytest.raises(InvalidInputError, match="float range"):
+            sym_eig(np.full((2, 2), 1.5e308))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_symmetry_test_holds_near_the_float_range(self):
+        a = np.array([[1.0, 2.0], [0.0, 1.0]]) * 1e307
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            sym_eig(a)
+        a[1, 0] = 2e307 * (1.0 + 1e-14)
+        assert np.all(np.isfinite(sym_eig(a).values))
 
     def test_nonsymmetric_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -5,12 +5,15 @@ from redclust import svd
 from redclust.errors import DegenerateInputError, InvalidConfigError, InvalidInputError
 from redclust.linalg import center, frobenius
 from redclust.reducers import (
+    fastica_fit,
     pca_encode,
     pca_fit,
     pca_reconstruct,
     retained_for_threshold,
     svd_reduce,
 )
+from redclust.reducers import pca as pca_module
+from redclust.reducers.pca import covariance_eig
 
 
 class TestPcaFit:
@@ -181,3 +184,52 @@ class TestSvdReduce:
         assert out.k == 1
         assert out.data.shape == (9, 1)
         assert out.schema is None  # reduced coordinates are all numeric
+
+
+class TestCovarianceEig:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """sym_eig calls made through the name covariance_eig looks up, from an empty memo."""
+        calls = []
+        eig = pca_module.sym_eig
+
+        def counting(a):
+            calls.append(a)
+            return eig(a)
+
+        monkeypatch.setattr(pca_module, "sym_eig", counting)
+        monkeypatch.setattr(pca_module, "_last_covariance", None)
+        return calls
+
+    def test_pca_then_fastica_decompose_once(self, counted):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(40, 4)) @ rng.normal(size=(4, 4))
+        model = pca_fit(x, k=2)
+        ica = fastica_fit(x, seed=3)
+        assert len(counted) == 1
+        other = x.copy()
+        other[0, 0] += 1.0
+        pca_fit(other, k=2)
+        assert len(counted) == 2
+        # the kept result is the one a fresh decomposition gives
+        pca_module._last_covariance = None
+        assert np.array_equal(pca_fit(x, k=2).basis, model.basis)
+        assert np.array_equal(fastica_fit(x, seed=3).whitening, ica.whitening)
+        assert len(counted) == 3
+
+    def test_matrix_changed_in_place_is_decomposed_again(self, counted):
+        x = np.random.default_rng(42).normal(size=(30, 3))
+        first = covariance_eig(x)[2].values
+        x[:, 1] *= 4.0
+        assert not np.array_equal(covariance_eig(x)[2].values, first)
+        assert len(counted) == 2
+
+    def test_returned_arrays_are_read_only(self, counted):
+        x = np.random.default_rng(43).normal(size=(20, 3))
+        for result in (covariance_eig(x), covariance_eig(x)):
+            centered, mean, pairs = result
+            for array in (centered, mean, pairs.values, pairs.vectors):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+        assert len(counted) == 1

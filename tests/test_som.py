@@ -5,7 +5,15 @@ import pytest
 
 from redclust.errors import InvalidConfigError, InvalidInputError
 from redclust.reducers import som_encode, som_fit
-from redclust.reducers.som import RADIUS_FLOOR, _decayed, quantization_error
+from redclust.reducers.som import (
+    _TINY,
+    RADIUS_FLOOR,
+    _decayed,
+    _mean_nearest,
+    _row_terms,
+    _squared_distances,
+    quantization_error,
+)
 
 
 def two_clouds(rng, n_per=30, sep=10.0):
@@ -47,7 +55,55 @@ def reference_som_fit(x, width, height, epochs, seed=0):
     return codebook, qe_log
 
 
+def reference_epochs_fit(x, width, height, epochs, seed=0):
+    """The batch map with the epoch written plainly: an argmin for the BMUs, a
+    min for the error, np.add.at for the per-BMU sums and exp of the whole
+    (nodes, nodes) grid-distance array. som_fit must match it bit for bit."""
+    radius0 = max(width, height) / 2.0
+    nodes = width * height
+    codebook = initial_codebook(x, nodes, seed)
+    idx = np.arange(nodes)
+    coords = np.column_stack([idx % width, idx // width]).astype(float)
+    gd = coords[:, None, :] - coords[None, :, :]
+    grid_sq = np.sum(gd * gd, axis=2)
+    row_terms = _row_terms(x)
+    distances = _squared_distances(row_terms, codebook)
+    qe_log = [_mean_nearest(distances)]
+    for epoch in range(epochs):
+        radius = _decayed(radius0, RADIUS_FLOOR, epoch, epochs)
+        h = np.exp(-grid_sq / (2.0 * radius * radius))
+        bmu = distances.argmin(axis=1)
+        sums = np.zeros((nodes, x.shape[1]))
+        np.add.at(sums, bmu, x)
+        weight = h.T @ np.bincount(bmu, minlength=nodes).astype(float)
+        moved = weight >= _TINY
+        codebook[moved] = (h.T @ sums)[moved] / weight[moved, None]
+        qe_log.append(_mean_nearest(_squared_distances(row_terms, codebook, out=distances)))
+    return codebook, qe_log
+
+
 class TestSomFit:
+    @pytest.mark.parametrize(
+        "n, dim, width, height, epochs",
+        [
+            (748, 4, 10, 10, 100),  # a canonical table's shape and grid
+            (80, 5, 5, 4, 12),
+            (12, 3, 10, 10, 25),  # fewer rows than nodes
+            (50, 1, 3, 3, 30),
+            (60, 6, 7, 3, 25),
+            (40, 9, 12, 1, 10),
+        ],
+    )
+    def test_bit_identical_to_plain_epoch(self, n, dim, width, height, epochs):
+        rng = np.random.default_rng(n * dim)
+        x = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, size=dim)
+        if dim > 2:
+            x[:, 1] = 0.625  # a constant column
+        grid = som_fit(x, width=width, height=height, epochs=epochs, seed=dim)
+        codebook, qe_log = reference_epochs_fit(x, width, height, epochs, seed=dim)
+        assert np.array_equal(grid.codebook, codebook)
+        assert np.array_equal(grid.qe_log, qe_log)
+
     @pytest.mark.parametrize("seed", [3, 29])
     def test_matches_loop_batch_map(self, seed):
         rng = np.random.default_rng(seed)
