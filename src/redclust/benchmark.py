@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import load_dataset, normalize
 from .dataset import data_to_similarity, filter_examples  # noqa: F401  (call-site tracers wrap these names here)
-from .density import NOISE, dbscan, cluster_count
+from .density import NOISE, NOMINAL, dbscan, cluster_count
 from .errors import InvalidConfigError, OutputError, SchemaError
 from .mixture import em_fit
 from .reducers import (
@@ -155,8 +155,7 @@ class BenchmarkCell:
 class BenchmarkReport:
     cells: dict  # (dataset, reducer) -> BenchmarkCell
     dataset_names: list
-    config: BenchmarkConfig
-    normalized: bool
+    config: BenchmarkConfig  # config.normalize says which variant this is
     warnings: list = field(default_factory=list)
 
     def cell(self, dataset, reducer):
@@ -251,8 +250,10 @@ def _run_cell(work, reducer, config, seed):
         cell.reducer_converged = getattr(model, "converged", None)
         cell.spectrum = getattr(model, "eigenvalues", None)
 
-        # EM and the plots take the unreduced table's numeric columns, not its level codes
-        coords = reduced.data if reduced.schema is None else work.numeric_matrix()
+        # EM and the plots take the unreduced table's numeric columns, not its
+        # level codes; an all-nominal table plots its codes and skips EM
+        all_nominal = reduced.schema is not None and set(reduced.schema.kinds) == {NOMINAL}
+        coords = reduced.data if reduced.schema is None or all_nominal else work.numeric_matrix()
         t2 = time.perf_counter()
         assignment = dbscan(
             reduced.data, eps=config.eps, min_pts=config.min_pts, schema=reduced.schema
@@ -267,7 +268,9 @@ def _run_cell(work, reducer, config, seed):
         cell.points = _plot_points(coords, assignment)
 
         em_input = coords[assignment.labels != NOISE]
-        if em_input.shape[0] < config.em_k:
+        if all_nominal:
+            cell.em_note = "EM skipped: the table has no numeric columns"
+        elif em_input.shape[0] < config.em_k:
             cell.em_note = f"EM skipped: {em_input.shape[0]} non-noise rows < k={config.em_k}"
         else:
             model = em_fit(
@@ -289,23 +292,17 @@ def _working_tables(datasets, normalized):
     return [normalize(ds) for ds in datasets] if normalized else datasets
 
 
-def run_benchmark(config, tables=None):
+def run_benchmark(config, datasets=None):
     """Populate the full (dataset x reducer) grid for one normalization variant.
 
-    ``tables`` are the variant's working tables: config.datasets, loaded
-    and z-normalized when config.normalize (``_working_tables``). They are
-    made here when not given; given tables whose ``transforms`` log
-    disagrees with config.normalize raise InvalidConfigError.
+    ``datasets`` are config.datasets as ``load_config_datasets`` returns
+    them, loaded here when not given; the grid runs on them z-normalized
+    when config.normalize (``_working_tables``).
     """
     config.validate()
-    if tables is None:
-        tables = _working_tables(load_config_datasets(config), config.normalize)
-    for work in tables:
-        if any("z_normalize" in step for step in work.transforms) != config.normalize:
-            raise InvalidConfigError(
-                f"table {work.name!r} is {'not ' if config.normalize else ''}z-normalized"
-                f" but config.normalize is {config.normalize}"
-            )
+    if datasets is None:
+        datasets = load_config_datasets(config)
+    tables = _working_tables(datasets, config.normalize)
     cells = {}
     warnings = []
     for di, work in enumerate(tables):
@@ -321,7 +318,6 @@ def run_benchmark(config, tables=None):
         cells=cells,
         dataset_names=[work.name for work in tables],
         config=config,
-        normalized=config.normalize,
         warnings=warnings,
     )
 
@@ -405,7 +401,7 @@ def emit_report(report, out_dir):
         "seed": report.config.seed,
         "config": report.config.to_dict(),
         "config_hash": report.config.config_hash(),
-        "normalized": report.normalized,
+        "normalized": report.config.normalize,
         "datasets": _ordered_datasets(report),
         "warnings": list(report.warnings),
         "cells": [
@@ -527,8 +523,7 @@ def run_full_benchmark(config, out_dir, datasets=None):
 
     reports = {}
     for normalized in [True, False] if config.normalize else [False]:
-        tables = _working_tables(datasets, normalized)
-        report = run_benchmark(replace(config, normalize=normalized), tables)
+        report = run_benchmark(replace(config, normalize=normalized), datasets)
         reports["normalized" if normalized else "raw"] = report
         emit_report(report, out_dir / ("normalized" if normalized else "raw"))
 

@@ -282,12 +282,8 @@ def cmd_bench(args):
     config.datasets = _dataset_pairs(args)
     _validate_usage(config)
     out_dir = _out_dir(args)
-    if args.timing_check:
-        # the timing check runs on the grid's first table, loaded once
-        datasets = load_config_datasets(config)
-        reports = run_full_benchmark(config, out_dir, datasets)
-    else:
-        reports = run_full_benchmark(config, out_dir)
+    datasets = load_config_datasets(config)  # load failures precede any output
+    reports = run_full_benchmark(config, out_dir, datasets)
     for variant, report in reports.items():
         failed = sum(1 for c in report.cells.values() if c.failed)
         print(

@@ -3,15 +3,14 @@
 Files are delimited text with a header row, described by a JSON sidecar
 schema declaring each column's name, kind (numeric | nominal) and role
 (regular | id | label). Only regular columns feed the clustering pipeline;
-id and label columns ride along for provenance and reporting.
+id and label columns ride along for reporting.
 """
 
 import csv
-import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,7 @@ class ColumnSpec:
 
 @dataclass
 class Dataset:
-    """A rectangular table plus its schema and provenance.
+    """A rectangular table plus its schema.
 
     ``columns[i]`` describes ``values[i]``, a numpy array holding one column
     (float64 for numeric, object for nominal).
@@ -48,8 +47,6 @@ class Dataset:
     name: str
     columns: list
     values: list
-    provenance: dict = field(default_factory=dict)
-    transforms: list = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.columns) != len(self.values):
@@ -109,8 +106,6 @@ class Dataset:
             name=self.name,
             columns=list(self.columns),
             values=[np.asarray(v)[indices] for v in self.values],
-            provenance=dict(self.provenance),
-            transforms=list(self.transforms),
         )
 
 
@@ -194,8 +189,7 @@ def load_dataset(data_path, schema):
         schema = read_schema(schema)
     data_path = Path(data_path)
     try:
-        raw_bytes = data_path.read_bytes()
-        text = raw_bytes.decode("utf-8-sig")
+        text = data_path.read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise DatasetParseError(f"cannot read dataset {data_path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -260,23 +254,15 @@ def load_dataset(data_path, schema):
         else:
             values.append(np.asarray(raw, dtype=object))
 
-    checksum = hashlib.sha256(raw_bytes).hexdigest()
-    return Dataset(
-        name=schema["name"],
-        columns=columns,
-        values=values,
-        provenance={"path": str(data_path), "sha256": checksum},
-    )
+    return Dataset(name=schema["name"], columns=columns, values=values)
 
 
 def normalize(ds):
     """Z-transform every numeric regular column (population sigma).
 
-    Constant columns map to all zeros. Per-column (mean, sigma) parameters
-    land in the dataset's transform log for reporting.
+    Constant columns map to all zeros.
     """
     new_values = []
-    params = {}
     for spec, column in zip(ds.columns, ds.values):
         if spec.role == "regular" and spec.kind == "numeric":
             col = np.asarray(column, dtype=float)
@@ -286,17 +272,9 @@ def normalize(ds):
                 new_values.append(np.zeros_like(col))
             else:
                 new_values.append((col - mean) / sigma)
-            params[spec.name] = {"mean": mean, "sigma": sigma}
         else:
             new_values.append(column)
-    out = Dataset(
-        name=ds.name,
-        columns=list(ds.columns),
-        values=new_values,
-        provenance=dict(ds.provenance),
-        transforms=list(ds.transforms) + [{"z_normalize": params}],
-    )
-    return out
+    return Dataset(name=ds.name, columns=list(ds.columns), values=new_values)
 
 
 @dataclass
@@ -331,9 +309,6 @@ def data_to_similarity(data, schema=None):
 class Condition:
     """Base for row predicates usable with filter_examples."""
 
-    def describe(self):
-        return repr(self)
-
     def mask(self, ds):
         raise NotImplementedError
 
@@ -360,9 +335,6 @@ class AttributeCondition(Condition):
         if self.op not in _COMPARATORS:
             raise InvalidConfigError(f"unknown comparison operator {self.op!r}")
 
-    def describe(self):
-        return f"{self.attribute} {self.op} {self.value!r}"
-
     def mask(self, ds):
         spec, column = ds.column(self.attribute)
         compare = _COMPARATORS[self.op]
@@ -376,9 +348,6 @@ class NonNoiseCondition(Condition):
     """Keep rows a ClusterAssignment did not mark as noise."""
 
     assignment: object
-
-    def describe(self):
-        return "cluster != noise"
 
     def mask(self, ds):
         labels = self.assignment.labels
@@ -397,7 +366,6 @@ def filter_examples(ds, condition):
     """
     if isinstance(condition, Condition):
         mask = np.asarray(condition.mask(ds), dtype=bool)
-        described = condition.describe()
     elif callable(condition):
         names = [c.name for c in ds.columns]
         mask = np.asarray(
@@ -407,9 +375,6 @@ def filter_examples(ds, condition):
             ],
             dtype=bool,
         )
-        described = getattr(condition, "__name__", "callable")
     else:
         raise InvalidConfigError(f"unsupported condition {condition!r}")
-    out = ds.take_rows(np.flatnonzero(mask))
-    out.transforms = list(out.transforms) + [{"filter": described}]
-    return out
+    return ds.take_rows(np.flatnonzero(mask))

@@ -111,8 +111,6 @@ class ClusterAssignment:
 
     labels: np.ndarray
     roles: np.ndarray  # 'core' | 'border' | 'noise'
-    eps: float
-    min_pts: int
 
     @property
     def n_examples(self):
@@ -565,9 +563,7 @@ def dbscan(data, eps, min_pts, schema=None):
     labels, is_core = labels[rank], is_core[rank]
 
     role = np.where(is_core, 2, (labels != NOISE).astype(np.intp))
-    return ClusterAssignment(
-        labels=labels, roles=np.array(_ROLES)[role], eps=float(eps), min_pts=int(min_pts)
-    )
+    return ClusterAssignment(labels=labels, roles=np.array(_ROLES)[role])
 
 
 def cluster_count(assignment):

@@ -55,7 +55,10 @@ def covariance_eig(x):
     if _last_covariance is not None and _last_covariance[0] == key:
         return _last_covariance[1]
     centered, mean = center(x)
-    cov = (centered.T @ centered) / (x.shape[0] - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = (centered.T @ centered) / (x.shape[0] - 1)
+    if not np.isfinite(cov).all():
+        raise InvalidInputError("the input's scale overflows its covariance; rescale its columns")
     pairs = sym_eig(cov)
     result = (centered, mean, pairs)
     for array in (centered, mean, pairs.values, pairs.vectors):

@@ -9,6 +9,7 @@ import redclust.benchmark as bench
 from redclust.benchmark import (
     BenchmarkConfig,
     emit_report,
+    load_config_datasets,
     pca_threshold_sweep,
     run_benchmark,
     run_full_benchmark,
@@ -187,16 +188,26 @@ class TestRunBenchmark:
             run_benchmark(fast_config([tiny_pair], pca_k=0))
 
     @pytest.mark.parametrize("normalized", [True, False])
-    def test_tables_must_match_the_normalize_flag(self, tiny_pair, normalized):
-        # raw tables under normalize=True, or z-normalized ones under False,
-        # would be reported as the other variant
+    def test_loaded_datasets_give_the_configs_grid(self, tiny_pair, tmp_path, normalized):
+        # run_benchmark normalizes given tables itself, so they cannot disagree with the flag
+        config = fast_config([tiny_pair], normalize=normalized, reducers=("pca", "none"))
+
+        def observed(report):
+            out = {}
+            for key, cell in report.cells.items():
+                payload = bench._cell_payload(cell)
+                for timing in ("reduce_ms", "cluster_ms", "total_ms"):
+                    payload.pop(timing)
+                out[key] = (payload, cell.points, cell.spectrum.tolist() if key[1] == "pca" else None)
+            return out
+
+        given = run_benchmark(config, load_config_datasets(config))
+        assert observed(given) == observed(run_benchmark(config))
         ds = load_dataset(*tiny_pair)
-        config = fast_config([tiny_pair], normalize=normalized, reducers=("none",))
-        expected = "'tiny' is not z-normalized" if normalized else "'tiny' is z-normalized"
-        with pytest.raises(InvalidConfigError, match=expected):
-            run_benchmark(config, [ds] if normalized else [normalize(ds)])
-        matching = [normalize(ds)] if normalized else [ds]
-        assert run_benchmark(config, matching).normalized is normalized
+        work = normalize(ds) if normalized else ds
+        assert [p[0] for p in given.cell("tiny", "none").points] == work.values[0].tolist()
+        emit_report(given, tmp_path)
+        assert json.loads((tmp_path / "report.json").read_text())["normalized"] is normalized
 
     @pytest.mark.parametrize(
         "override",
@@ -276,8 +287,7 @@ class TestEmitReport:
         from redclust.benchmark import BenchmarkReport
 
         report = BenchmarkReport(
-            cells={}, dataset_names=[], config=BenchmarkConfig(datasets=[("x", "y")]),
-            normalized=True,
+            cells={}, dataset_names=[], config=BenchmarkConfig(datasets=[("x", "y")])
         )
         out = tmp_path / "empty"
         emit_report(report, out)
@@ -341,7 +351,7 @@ class TestFullBenchmark:
         config = BenchmarkConfig(
             datasets=list(canonical_pairs), reducers=("pca",), normalize=normalized
         )
-        rows = pca_threshold_sweep(run_benchmark(config, tables))
+        rows = pca_threshold_sweep(run_benchmark(config, datasets))
         assert len(rows) == 4 * len(datasets)
         matrices = {work.name: work.numeric_matrix() for work in tables}
         for r in rows:

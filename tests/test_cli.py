@@ -389,7 +389,7 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({field: file_value}))
         configs = []
-        monkeypatch.setattr(cli, "run_full_benchmark", lambda c, out: configs.append(c) or {})
+        monkeypatch.setattr(cli, "run_full_benchmark", lambda c, out, ds: configs.append(c) or {})
         argv = ["bench", "--dataset", tiny_pair[0], "--schema", tiny_pair[1], "--config", str(cfg),
                 "--out", str(tmp_path / "out")]
         for extra in ([], flags):
@@ -660,6 +660,36 @@ class TestBench:
             stdout,
             re.MULTILINE,
         )
+
+    def test_none_cell_of_an_all_nominal_table_agrees_with_cluster(self, capsys, tmp_path):
+        data = tmp_path / "nom.csv"
+        data.write_text("c1,c2\na,x\na,x\na,x\nb,y\nb,y\nb,y\nc,z\n")
+        schema = tmp_path / "nom.schema.json"
+        schema.write_text(json.dumps(
+            {"name": "nom", "columns": [{"name": n, "kind": "nominal"} for n in ("c1", "c2")]}
+        ))
+        common = ["--dataset", str(data), "--schema", str(schema), "--minpts", "2"]
+        code, _, err = run(["cluster", *common, "--out", str(tmp_path / "c")], capsys)
+        assert code == 0, err
+        summary = json.loads((tmp_path / "c" / "nom_clustering.json").read_text())
+        assert (summary["performance_1_clusters"], summary["noise_count"]) == (2, 1)
+
+        out = tmp_path / "b"
+        code, _, err = run(["bench", *common, "--reducer", "none", "--reducer", "svd",
+                            "--out", str(out)], capsys)
+        assert code == 0, err
+        for variant in ("normalized", "raw"):
+            cells = json.loads((out / variant / "report.json").read_text())["cells"]
+            none, svd = sorted(cells, key=lambda c: c["reducer"])
+            assert none["error"] is None
+            for key in ("performance_1_clusters", "noise_count"):
+                assert none[key] == summary[key]
+            assert none["em_note"] == "EM skipped: the table has no numeric columns"
+            assert "has no numeric regular columns" in svd["error"]
+            # the points are the level codes DBSCAN ran on
+            assert (out / variant / "points" / "nom_none.points").read_text().splitlines()[1:] == (
+                ["0.0\t0.0\t0\t0"] * 3 + ["1.0\t1.0\t1\t0"] * 3 + ["2.0\t2.0\t-1\t1"]
+            )
 
     def test_timing_check_loads_the_table_once(self, monkeypatch, capsys, tiny_pair, tmp_path):
         # the timing check reads the table the grid ran on instead of loading it again

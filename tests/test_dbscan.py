@@ -955,16 +955,12 @@ class TestBand:
 
 class TestClusterCount:
     def test_all_noise(self):
-        a = ClusterAssignment(
-            labels=np.array([NOISE, NOISE]), roles=np.array(["noise", "noise"]), eps=1.0, min_pts=5
-        )
+        a = ClusterAssignment(labels=np.array([NOISE, NOISE]), roles=np.array(["noise", "noise"]))
         assert cluster_count(a) == 0
 
     def test_two_clusters_with_noise(self):
         a = ClusterAssignment(
             labels=np.array([0, 0, 1, NOISE]),
             roles=np.array(["core", "core", "core", "noise"]),
-            eps=1.0,
-            min_pts=2,
         )
         assert cluster_count(a) == 2

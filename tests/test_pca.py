@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -233,3 +235,12 @@ class TestCovarianceEig:
                 with pytest.raises(ValueError):
                     array[0] = 0.0
         assert len(counted) == 1
+
+    @pytest.mark.parametrize("fit", [lambda x: pca_fit(x, k=2), lambda x: fastica_fit(x, seed=3)])
+    def test_overflowing_scale_is_named(self, counted, fit):
+        x = np.random.default_rng(1).normal(size=(50, 3)) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match="scale overflows its covariance"):
+                fit(x)
+        assert counted == []
