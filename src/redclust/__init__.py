@@ -3,8 +3,10 @@
 Four dimension reducers (SVD projection, PCA, SOM, FastICA), DBSCAN over
 mixed numeric/nominal data, EM Gaussian-mixture clustering, and a benchmark
 harness that wires them into a reduce -> DBSCAN -> filter -> EM pipeline and
-emits measurement tables. ``data_to_similarity`` derives an inverse-distance
-similarity matrix as a library utility; the benchmark does not build one.
+emits measurement tables. Two library utilities sit outside the benchmark:
+``filter_examples(ds, keep)`` keeps the rows a boolean mask selects, and
+``data_to_similarity(data, schema)`` returns the inverse-distance similarity
+of a 2-D table as an n x n array.
 """
 
 from .benchmark import (
@@ -16,11 +18,8 @@ from .benchmark import (
     run_full_benchmark,
 )
 from .dataset import (
-    AttributeCondition,
     ColumnSpec,
     Dataset,
-    NonNoiseCondition,
-    SimilarityMatrix,
     data_to_similarity,
     filter_examples,
     load_dataset,
@@ -65,7 +64,6 @@ from .reducers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributeCondition",
     "BenchmarkConfig",
     "BenchmarkReport",
     "ClusterAssignment",
@@ -80,13 +78,11 @@ __all__ = [
     "InvalidConfigError",
     "InvalidInputError",
     "MixtureModel",
-    "NonNoiseCondition",
     "OutputError",
     "PcaModel",
     "RedclustError",
     "ReducedDataset",
     "SchemaError",
-    "SimilarityMatrix",
     "SomGrid",
     "SvdFactors",
     "center",

@@ -4,8 +4,9 @@ One run covers every (dataset, reducer) cell of the grid: reduce (or pass
 through), time DBSCAN with a monotonic clock, count clusters
 (performance-1), drop noise rows, fit the EM mixture and record its mean
 log-likelihood (performance-2). EM reads the (reduced) coordinates, so the
-bench derives no similarity matrix; ``data_to_similarity`` stays a library
-utility. A PCA cell keeps its fitted spectrum for the threshold sweep.
+bench derives no similarity matrix: ``data_to_similarity`` (an n x n array)
+and ``filter_examples`` (rows by boolean mask) stay library utilities. A
+PCA cell keeps its fitted spectrum for the threshold sweep.
 Reports are deterministic for a given seed except for the wall-time fields.
 """
 

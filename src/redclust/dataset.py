@@ -3,7 +3,9 @@
 Files are delimited text with a header row, described by a JSON sidecar
 schema declaring each column's name, kind (numeric | nominal) and role
 (regular | id | label). Only regular columns feed the clustering pipeline;
-id and label columns ride along for reporting.
+id and label columns ride along for reporting. ``filter_examples`` keeps
+the rows a boolean mask selects; ``data_to_similarity`` returns a plain
+n x n array.
 """
 
 import csv
@@ -15,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import NOISE, DistanceSchema, pairwise_distances
-from .errors import DatasetParseError, InvalidConfigError, InvalidInputError, SchemaError
-from .reducers.base import ReducedDataset
+from .density import DistanceSchema, pairwise_distances
+from .errors import DatasetParseError, InvalidInputError, SchemaError
 
 KINDS = ("numeric", "nominal")
 ROLES = ("regular", "id", "label")
@@ -72,12 +73,6 @@ class Dataset:
     def n_regular(self):
         return len(self.regular_columns)
 
-    def column(self, name):
-        for spec, values in zip(self.columns, self.values):
-            if spec.name == name:
-                return spec, values
-        raise InvalidConfigError(f"unknown attribute {name!r}")
-
     def distance_schema(self):
         return DistanceSchema(kinds=tuple(c.kind for c in self.regular_columns))
 
@@ -100,13 +95,6 @@ class Dataset:
         if not cols:
             raise InvalidInputError(f"dataset {self.name!r} has no numeric regular columns")
         return np.column_stack(cols)
-
-    def take_rows(self, indices):
-        return Dataset(
-            name=self.name,
-            columns=list(self.columns),
-            values=[np.asarray(v)[indices] for v in self.values],
-        )
 
 
 def read_schema(path):
@@ -266,115 +254,42 @@ def normalize(ds):
     for spec, column in zip(ds.columns, ds.values):
         if spec.role == "regular" and spec.kind == "numeric":
             col = np.asarray(column, dtype=float)
-            mean = float(col.mean())
-            sigma = float(np.sqrt(np.mean((col - mean) ** 2)))
+            centred = col - col.mean()
+            # squares of a column scaled by a power of two neither overflow
+            # nor underflow; the scaling is exact, so sigma's bits are kept
+            e = np.frexp(np.abs(centred).max(initial=0.0))[1]
+            sigma = np.ldexp(np.sqrt(np.mean(np.ldexp(centred, -e) ** 2)), e)
             if sigma == 0.0:
-                new_values.append(np.zeros_like(col))
+                new_values.append(np.zeros_like(centred))
             else:
-                new_values.append((col - mean) / sigma)
+                new_values.append(centred / sigma)
         else:
             new_values.append(column)
     return Dataset(name=ds.name, columns=list(ds.columns), values=new_values)
 
 
-@dataclass
-class SimilarityMatrix:
-    """Symmetric attribute-based similarity: s(i, j) = 1 / (1 + distance)."""
-
-    values: np.ndarray
-    derivation: str = "inverse-distance"
-
-    @property
-    def n(self):
-        return self.values.shape[0]
-
-
 def data_to_similarity(data, schema=None):
-    """Similarity matrix from rows: s = 1/(1 + mixed Euclidean distance).
+    """Similarity matrix 1 / (1 + pairwise_distances(data, schema)) of a 2-D table.
 
-    Accepts a Dataset, a ReducedDataset, or a plain float matrix. The
-    diagonal is exactly 1 and the matrix is symmetric by construction.
+    Takes what ``pairwise_distances`` takes: ``ds.feature_rows(),
+    ds.distance_schema()`` for a Dataset, ``reduced.data, reduced.schema``
+    for a reducer's output. A row's distance to itself is exactly 0, so the
+    diagonal is exactly 1; the matrix is symmetric bit for bit.
     """
-    if isinstance(data, Dataset):
-        dist = pairwise_distances(data.feature_rows(), data.distance_schema())
-    elif isinstance(data, ReducedDataset):
-        dist = pairwise_distances(data.data, data.schema)
-    else:
-        dist = pairwise_distances(data, schema)
-    sim = 1.0 / (1.0 + dist)
-    np.fill_diagonal(sim, 1.0)
-    return SimilarityMatrix(values=sim)
+    return 1.0 / (1.0 + pairwise_distances(data, schema))
 
 
-class Condition:
-    """Base for row predicates usable with filter_examples."""
+def filter_examples(ds, keep):
+    """The Dataset of the rows of ``ds`` where the boolean mask ``keep`` is true, in order.
 
-    def mask(self, ds):
-        raise NotImplementedError
-
-
-_COMPARATORS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
-@dataclass(frozen=True)
-class AttributeCondition(Condition):
-    """Keep rows where <attribute> <op> <value> holds."""
-
-    attribute: str
-    op: str
-    value: object
-
-    def __post_init__(self):
-        if self.op not in _COMPARATORS:
-            raise InvalidConfigError(f"unknown comparison operator {self.op!r}")
-
-    def mask(self, ds):
-        spec, column = ds.column(self.attribute)
-        compare = _COMPARATORS[self.op]
-        if spec.kind == "numeric":
-            return compare(np.asarray(column, dtype=float), float(self.value))
-        return np.asarray([compare(v, self.value) for v in column], dtype=bool)
-
-
-@dataclass(frozen=True)
-class NonNoiseCondition(Condition):
-    """Keep rows a ClusterAssignment did not mark as noise."""
-
-    assignment: object
-
-    def mask(self, ds):
-        labels = self.assignment.labels
-        if len(labels) != ds.n_rows:
-            raise InvalidInputError(
-                f"assignment covers {len(labels)} rows, dataset has {ds.n_rows}"
-            )
-        return labels != NOISE
-
-
-def filter_examples(ds, condition):
-    """Subset of ``ds`` whose rows satisfy the condition, order preserved.
-
-    ``condition`` is an AttributeCondition, a NonNoiseCondition, or any
-    callable mapping a {column_name: value} dict to bool.
+    ``keep`` holds one bool per row, e.g. ``ds.values[i] >= 2.0`` or
+    ``assignment.labels != NOISE``.
     """
-    if isinstance(condition, Condition):
-        mask = np.asarray(condition.mask(ds), dtype=bool)
-    elif callable(condition):
-        names = [c.name for c in ds.columns]
-        mask = np.asarray(
-            [
-                bool(condition({n: v[i] for n, v in zip(names, ds.values)}))
-                for i in range(ds.n_rows)
-            ],
-            dtype=bool,
+    keep = np.asarray(keep)
+    if keep.dtype != bool or keep.shape != (ds.n_rows,):
+        raise InvalidInputError(
+            f"keep must be a boolean mask of {ds.n_rows} rows, got {keep.dtype} of shape {keep.shape}"
         )
-    else:
-        raise InvalidConfigError(f"unsupported condition {condition!r}")
-    return ds.take_rows(np.flatnonzero(mask))
+    return Dataset(
+        name=ds.name, columns=list(ds.columns), values=[np.asarray(v)[keep] for v in ds.values]
+    )

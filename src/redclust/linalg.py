@@ -249,9 +249,27 @@ def center(x):
     """Subtract column means. Returns (centered, mean).
 
     A second refinement pass keeps the residual column means at the
-    rounding floor rather than n*eps*scale.
+    rounding floor rather than n*eps*scale. If a column sum overflows, each
+    column is centered scaled down by a power of two, which is exact;
+    centered values beyond the float range raise InvalidInputError.
     """
     a = as_matrix(x, "center input")
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered, mean = _center_pass(a)
+        if not np.isfinite(centered).all():
+            e = np.frexp(np.abs(a).max(axis=0))[1]
+            centered, mean = _center_pass(np.ldexp(a, -e))
+            centered, mean = np.ldexp(centered, e), np.ldexp(mean, e)
+    if not np.isfinite(centered).all():
+        raise InvalidInputError(
+            f"center input's scale ({np.abs(a).max():.3g}) overflows its centered values; "
+            "rescale its columns"
+        )
+    return centered, mean
+
+
+def _center_pass(a):
+    """(centered, mean) of ``a`` from a mean pass and its refinement pass."""
     mean = a.mean(axis=0)
     centered = a - mean
     correction = centered.mean(axis=0)

@@ -42,7 +42,6 @@ def test_numeric_regular_columns_finite_and_varied(canonical_pairs):
 def test_labels_mark_generating_structure(canonical_pairs):
     ecoli = [p for p in canonical_pairs if "ecoli" in p[0]][0]
     ds = load_dataset(*ecoli)
-    label_col = [c for c in ds.columns if c.role == "label"]
-    assert len(label_col) == 1
-    _, values = ds.column(label_col[0].name)
-    assert "outlier" in set(values)
+    labels = [values for spec, values in zip(ds.columns, ds.values) if spec.role == "label"]
+    assert len(labels) == 1
+    assert "outlier" in set(labels[0])

@@ -1,23 +1,24 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import redclust
+import redclust.reducers
 from redclust.dataset import (
-    AttributeCondition,
     ColumnSpec,
     Dataset,
-    NonNoiseCondition,
     data_to_similarity,
     filter_examples,
     load_dataset,
     normalize,
     read_schema,
 )
-from redclust.density import DistanceSchema, dbscan, mixed_euclidean
+from redclust.density import NOISE, DistanceSchema, dbscan, mixed_euclidean
 from redclust.errors import (
     DatasetParseError,
-    InvalidConfigError,
+    InvalidInputError,
     SchemaError,
 )
 from redclust.reducers import ReducedDataset
@@ -251,6 +252,16 @@ class TestNormalize:
         out = normalize(ds)
         assert np.array_equal(out.values[0], np.zeros(3))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170, 1e300])
+    def test_extreme_scales_keep_the_z_scores(self, scale):
+        # sigma's squares would overflow at 1e160 and underflow to 0 at 1e-170
+        ds = Dataset(name="s", columns=[ColumnSpec("a")], values=[np.arange(1.0, 5.0) * scale])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = normalize(ds)
+        expected = (np.arange(1.0, 5.0) - 2.5) / np.sqrt(1.25)
+        assert np.allclose(out.values[0], expected, rtol=1e-14, atol=0.0)
+
     def test_population_sigma_convention(self):
         ds = Dataset(name="p", columns=[ColumnSpec("a")], values=[np.array([1.0, 2.0, 3.0])])
         out = normalize(ds)
@@ -279,22 +290,23 @@ class TestSimilarity:
     def test_identical_rows_similarity_one(self):
         x = np.tile([1.5, -2.0], (4, 1))
         sim = data_to_similarity(x)
-        assert np.array_equal(sim.values, np.ones((4, 4)))
+        assert np.array_equal(sim, np.ones((4, 4)))
 
     def test_distance_one_gives_half(self):
         x = np.array([[0.0], [1.0]])
         sim = data_to_similarity(x)
-        assert sim.values[0, 1] == pytest.approx(0.5)
-        assert sim.values[0, 0] == 1.0
+        assert sim[0, 1] == pytest.approx(0.5)
+        assert sim[0, 0] == 1.0
 
     def test_matrix_honours_schema(self):
         # a coded matrix with a nominal column: codes 0 and 2 differ by 1, not 2
         x = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
         schema = DistanceSchema(("numeric", "nominal"))
         expected = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
-        assert np.array_equal(data_to_similarity(x, schema).values, expected)
-        assert np.array_equal(data_to_similarity(ReducedDataset(x, schema)).values, expected)
-        assert data_to_similarity(x).values[0, 2] == pytest.approx(1.0 / 3.0)
+        assert np.array_equal(data_to_similarity(x, schema), expected)
+        reduced = ReducedDataset(x, schema)
+        assert np.array_equal(data_to_similarity(reduced.data, reduced.schema), expected)
+        assert data_to_similarity(x)[0, 2] == pytest.approx(1.0 / 3.0)
 
     @pytest.mark.parametrize("n", [10, 50])
     def test_matches_double_loop_oracle(self, n):
@@ -307,39 +319,46 @@ class TestSimilarity:
                 np.asarray([["u", "v"][i] for i in rng.integers(2, size=n)], dtype=object),
             ],
         )
-        sim = data_to_similarity(ds)
         schema = ds.distance_schema()
+        sim = data_to_similarity(ds.feature_rows(), schema)
+        assert sim.shape == (n, n)
+        assert np.array_equal(np.diag(sim), np.ones(n))
         rows = list(zip(*ds.values))
         for i in range(n):
             for j in range(n):
                 expected = 1.0 / (1.0 + mixed_euclidean(rows[i], rows[j], schema))
-                assert sim.values[i, j] == pytest.approx(expected, abs=1e-12)
-        assert np.max(np.abs(sim.values - sim.values.T)) <= 1e-12
+                assert sim[i, j] == pytest.approx(expected, abs=1e-12)
+        assert np.array_equal(sim, sim.T)
 
 
 class TestFilterExamples:
     def test_always_true_identity(self, small_mixed):
         ds = load_dataset(*small_mixed)
-        out = filter_examples(ds, lambda row: True)
+        out = filter_examples(ds, np.ones(ds.n_rows, dtype=bool))
         assert out.n_rows == ds.n_rows
         assert [c.name for c in out.columns] == [c.name for c in ds.columns]
+        for kept, full in zip(out.values, ds.values):
+            assert list(kept) == list(full)
 
     def test_always_false_keeps_schema(self, small_mixed):
         ds = load_dataset(*small_mixed)
-        out = filter_examples(ds, lambda row: False)
+        out = filter_examples(ds, np.zeros(ds.n_rows, dtype=bool))
         assert out.n_rows == 0
         assert [c.name for c in out.columns] == [c.name for c in ds.columns]
 
     def test_attribute_condition(self, small_mixed):
         ds = load_dataset(*small_mixed)
-        out = filter_examples(ds, AttributeCondition("a", ">=", 2.0))
+        out = filter_examples(ds, ds.values[1] >= 2.0)
         assert out.n_rows == 2
         assert list(out.values[1]) == [2.0, 3.0]
 
-    def test_unknown_attribute_rejected(self, small_mixed):
+    def test_mask_must_be_one_bool_per_row(self, small_mixed):
         ds = load_dataset(*small_mixed)
-        with pytest.raises(InvalidConfigError):
-            filter_examples(ds, AttributeCondition("missing", ">", 0))
+        wrong_length = ([True, False], [True, False, True, False], [[True, False, True]])
+        not_boolean = ([1, 0, 1], np.array([1.0, 0.0, 1.0]), "yes")
+        for keep in wrong_length + not_boolean:
+            with pytest.raises(InvalidInputError, match="boolean mask of 3 rows"):
+                filter_examples(ds, keep)
 
     def test_non_noise_filter(self):
         rng = np.random.default_rng(93)
@@ -353,10 +372,17 @@ class TestFilterExamples:
         )
         assignment = dbscan(x, eps=1.0, min_pts=5)
         assert assignment.noise_count == 3
-        out = filter_examples(ds, NonNoiseCondition(assignment))
+        out = filter_examples(ds, assignment.labels != NOISE)
         assert out.n_rows == 17
+        assert np.array_equal(out.values[0], dense[:, 0])
 
     def test_order_preserved(self, small_mixed):
         ds = load_dataset(*small_mixed)
-        out = filter_examples(ds, AttributeCondition("color", "==", "red"))
+        out = filter_examples(ds, [color == "red" for color in ds.values[3]])
         assert list(out.values[0]) == ["r1", "r3"]
+
+
+@pytest.mark.parametrize("module", [redclust, redclust.reducers], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +355,23 @@ class TestCenter:
         xc, mean = center(x)
         assert np.all(np.abs(xc.mean(axis=0)) <= 1e-12)
         assert np.allclose(xc + mean, x, atol=1e-12)
+
+    def test_overflowing_column_sums_are_centered_scaled(self):
+        # the column sums pass the float range; the centered values do not
+        x = np.abs(np.random.default_rng(1).normal(size=(50, 3))) * 1e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            xc, mean = center(x)
+        small, small_mean = center(np.ldexp(x, -1024))
+        assert np.array_equal(xc, np.ldexp(small, 1024))
+        assert np.array_equal(mean, np.ldexp(small_mean, 1024))
+
+    def test_overflowing_centered_values_name_the_scale(self):
+        x = np.array([[1.7e308], [-1.7e308], [-1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match=r"scale \(1\.7e\+308\) overflows"):
+                center(x)
 
 
 class TestOrthogonalize:

@@ -244,3 +244,14 @@ class TestCovarianceEig:
             with pytest.raises(InvalidInputError, match="scale overflows its covariance"):
                 fit(x)
         assert counted == []
+
+    def test_overflowing_column_sums(self, counted):
+        # center's column sums overflow at this scale; its centered values do not
+        x = np.abs(np.random.default_rng(1).normal(size=(50, 3))) * 1e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.isfinite(svd_reduce(x, 2).data).all()
+            for fit in (lambda: pca_fit(x, k=2), lambda: fastica_fit(x, seed=3)):
+                with pytest.raises(InvalidInputError, match="scale overflows its covariance"):
+                    fit()
+        assert counted == []
