@@ -36,7 +36,6 @@ from .reducers import (
     som_fit,
     svd_reduce,
 )
-from .reducers.ica import NONLINEARITIES
 from .reference import (
     CANONICAL_DATASETS,
     DISPLAY_NAMES,
@@ -67,13 +66,6 @@ class BenchmarkConfig:
     svd_k: int = 1
     pca_k: int | None = None
     pca_variance_threshold: float = 0.95
-    som_width: int = 10
-    som_height: int = 10
-    som_epochs: int = 100
-    som_radius0: float | None = None  # fit-time default: max(width, height) / 2
-    ica_nonlinearity: str = "tanh"
-    ica_tol: float = 1e-6
-    ica_max_iter: int = 200
 
     def validate(self):
         if not self.datasets:
@@ -99,24 +91,6 @@ class BenchmarkConfig:
             raise InvalidConfigError(
                 f"variance-threshold must be in (0, 1], got {self.pca_variance_threshold}"
             )
-        if self.som_width < 1 or self.som_height < 1 or self.som_width * self.som_height < 2:
-            raise InvalidConfigError(
-                f"som_width x som_height must give at least 2 nodes, "
-                f"got {self.som_width}x{self.som_height}"
-            )
-        if self.som_epochs < 1:
-            raise InvalidConfigError(f"som_epochs must be >= 1, got {self.som_epochs}")
-        if self.som_radius0 is not None and not 0 <= self.som_radius0 < math.inf:
-            raise InvalidConfigError(f"som_radius0 must be finite and >= 0, got {self.som_radius0}")
-        if self.ica_nonlinearity not in NONLINEARITIES:
-            raise InvalidConfigError(
-                f"ica_nonlinearity must be one of {sorted(NONLINEARITIES)}, "
-                f"got {self.ica_nonlinearity!r}"
-            )
-        if not self.ica_tol > 0:
-            raise InvalidConfigError(f"ica_tol must be positive, got {self.ica_tol}")
-        if self.ica_max_iter < 1:
-            raise InvalidConfigError(f"ica_max_iter must be >= 1, got {self.ica_max_iter}")
 
     def to_dict(self):
         out = asdict(self)
@@ -176,8 +150,9 @@ def fit_reducer(name, work, config, seed):
     one place that decides what the unreduced cell clusters on: for "none"
     the ReducedDataset is every regular column (nominal ones as level codes)
     with the table's DistanceSchema. The four reducers fit
-    ``work.numeric_matrix()``. The model is None for svd and none, which
-    keep no fitted state.
+    ``work.numeric_matrix()``; the SOM is a 10x10 map and FastICA uses
+    tanh, each at its fit function's defaults otherwise. The model is None
+    for svd and none, which keep no fitted state.
     """
     if name == "none":
         return None, ReducedDataset(work.feature_rows(), work.distance_schema())
@@ -191,25 +166,12 @@ def fit_reducer(name, work, config, seed):
             model = pca_fit(matrix, variance_threshold=config.pca_variance_threshold)
         return model, pca_encode(model, matrix)
     if name == "som":
-        grid = som_fit(
-            matrix,
-            width=config.som_width,
-            height=config.som_height,
-            epochs=config.som_epochs,
-            radius0=config.som_radius0,
-            seed=seed,
-        )
+        grid = som_fit(matrix, width=10, height=10, seed=seed)
         return grid, som_encode(grid, matrix)
     if name == "fastica":
         # centred rows span at most n - 1 directions, so wider tables keep n - 1
-        model = fastica_fit(
-            matrix,
-            n_components=min(matrix.shape[1], matrix.shape[0] - 1),
-            nonlinearity=config.ica_nonlinearity,
-            tol=config.ica_tol,
-            max_iter=config.ica_max_iter,
-            seed=seed,
-        )
+        n, d = matrix.shape
+        model = fastica_fit(matrix, n_components=min(d, n - 1), seed=seed)
         return model, fastica_transform(model, matrix)
     raise InvalidConfigError(f"unknown reducer {name!r}")
 

@@ -163,18 +163,16 @@ def _numbered_rows(reader, data_path):
         raise DatasetParseError(f"dataset {data_path}: {exc}", line=reader.line_num) from None
 
 
-def load_dataset(data_path, schema):
-    """Parse a delimited text file against a schema descriptor.
+def load_dataset(data_path, schema_path):
+    """Parse a delimited text file against the JSON schema at ``schema_path``.
 
-    ``schema`` is a path to a JSON descriptor or an already-read descriptor
-    dict. The file is UTF-8, with or without a byte-order mark; a quoted
+    The file is UTF-8, with or without a byte-order mark; a quoted
     cell may span lines, but a quote left open or text after a closing
     quote is a DatasetParseError (RFC 4180). Parse failures name the
     offending physical line (a row's last) and column; declared attribute
     counts and (when present) expected row counts are enforced.
     """
-    if not isinstance(schema, dict):
-        schema = read_schema(schema)
+    schema = read_schema(schema_path)
     data_path = Path(data_path)
     try:
         text = data_path.read_bytes().decode("utf-8-sig")
@@ -254,7 +252,13 @@ def normalize(ds):
     for spec, column in zip(ds.columns, ds.values):
         if spec.role == "regular" and spec.kind == "numeric":
             col = np.asarray(column, dtype=float)
-            centred = col - col.mean()
+            with np.errstate(over="ignore", invalid="ignore"):
+                centred = col - col.mean()
+            if not np.isfinite(centred).all():
+                # the sum or a centred value overflowed; z-scores are scale-free,
+                # so centre the column scaled by a power of two, which is exact
+                col = np.ldexp(col, -np.frexp(np.abs(col).max())[1])
+                centred = col - col.mean()
             # squares of a column scaled by a power of two neither overflow
             # nor underflow; the scaling is exact, so sigma's bits are kept
             e = np.frexp(np.abs(centred).max(initial=0.0))[1]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, InvalidInputError
 from .linalg import as_matrix
 
 VARIANCE_FLOOR = 1e-9
@@ -222,6 +222,8 @@ def em_fit(x, k, max_runs, max_steps, quality, seed):
     example (performance-2). A run whose k-means start is bit-identical to
     an earlier run's reuses that run's result instead of iterating again:
     EM draws nothing random after its start, so the outcome is the same.
+    Data whose scale overflows the squared distances raises
+    InvalidInputError.
     """
     x = as_matrix(x, "data")
     n = x.shape[0]
@@ -235,15 +237,21 @@ def em_fit(x, k, max_runs, max_steps, quality, seed):
     run_seeds = np.random.SeedSequence(seed).generate_state(max_runs)
     runs = []
     finished = {}  # k-means start bytes -> (model, trace, resets) of the first run from it
-    for run_seed in run_seeds:
-        init = kmeans_init(x, k, int(run_seed))
-        start = b"".join(a.tobytes() for a in (init.weights, init.means, init.variances))
-        if start not in finished:
-            finished[start] = _em_single_run(x, k, max_steps, quality, init)
-        runs.append(finished[start])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run_seed in run_seeds:
+            init = kmeans_init(x, k, int(run_seed))
+            start = b"".join(a.tobytes() for a in (init.weights, init.means, init.variances))
+            if start not in finished:
+                finished[start] = _em_single_run(x, k, max_steps, quality, init)
+            runs.append(finished[start])
 
     traces = [list(trace) for _, trace, _ in runs]  # a repeated run gets its own list
     finals = [t[-1] for t in traces]
+    if not np.isfinite(finals).all():
+        raise InvalidInputError(
+            f"data's scale ({np.abs(x).max():.3g}) overflows EM's squared distances; "
+            "rescale its columns"
+        )
     best = int(np.argmax(finals))
     model = runs[best][0]
     model.traces = traces

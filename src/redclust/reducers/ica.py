@@ -25,6 +25,7 @@ from ..linalg import sym_eig  # noqa: F401  (perfbench/layers.py traces sym_eig 
 from .base import ReducedDataset
 from .pca import covariance_eig
 
+# eigenvalues at or below this share of the largest are taken as rank deficiency
 _EIGENVALUE_FLOOR = 1e-12
 
 
@@ -63,7 +64,7 @@ class IcaModel:
 
 def _whiten(x, n_components):
     centered, mean, pairs = covariance_eig(x)
-    usable = int(np.sum(pairs.values > _EIGENVALUE_FLOOR))
+    usable = int(np.sum(pairs.values > _EIGENVALUE_FLOOR * max(pairs.values[0], 0.0)))
     if usable < n_components:
         raise DegenerateInputError(
             f"covariance rank {usable} is below the requested {n_components} components"

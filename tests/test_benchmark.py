@@ -23,17 +23,13 @@ from redclust.errors import (
     SchemaError,
 )
 from redclust.model_io import load_model, model_from_dict, model_to_dict, save_model
-from redclust.reducers import fastica_fit, pca_fit, som_fit
+from redclust.reducers import fastica_fit, fastica_transform, pca_fit, som_encode, som_fit
 from redclust.reference import ROW_LABELS
 
 
 def fast_config(pairs, **overrides):
     base = dict(
         datasets=list(pairs),
-        som_width=4,
-        som_height=4,
-        som_epochs=5,
-        ica_max_iter=50,
         em_runs=2,
         em_steps=30,
         seed=17,
@@ -124,9 +120,10 @@ class TestRunBenchmark:
         monkeypatch.setattr("redclust.benchmark.data_to_similarity", refuse)
         report = run_benchmark(fast_config([tiny_pair]))
         assert len(report.cells) == len(report.config.reducers)
-        for cell in report.cells.values():
+        for (_, reducer), cell in report.cells.items():
             assert not cell.failed, cell.error
-            assert cell.n_clusters == 2
+            # the 10x10 map splits tiny's two blobs into 3 clusters
+            assert cell.n_clusters == (3 if reducer == "som" else 2)
             assert cell.mean_log_likelihood is not None
 
     def test_reducer_calls_reach_the_benchmark_names(self, monkeypatch, tiny_pair):
@@ -173,6 +170,29 @@ class TestRunBenchmark:
         for name, calls in bound.items():
             assert all(params[name] <= call for call in calls), name
 
+    @pytest.mark.parametrize("reducer", ["som", "fastica"])
+    def test_grid_fits_som_and_fastica_at_fixed_settings(self, tiny_pair, reducer):
+        # the grid's one SOM and FastICA setting: a 10x10 map, and FastICA
+        # keeping min(d, n - 1) components, all else at the fits' defaults
+        work = normalize(load_dataset(*tiny_pair))
+        matrix = work.numeric_matrix()
+        n, d = matrix.shape
+        if reducer == "som":
+            direct = som_fit(matrix, width=10, height=10, seed=5)
+            encoded = som_encode(direct, matrix)
+        else:
+            direct = fastica_fit(matrix, n_components=min(d, n - 1), seed=5)
+            encoded = fastica_transform(direct, matrix)
+        model, reduced = bench.fit_reducer(reducer, work, fast_config([tiny_pair]), 5)
+        assert type(model) is type(direct)
+        for key, value in vars(direct).items():
+            if isinstance(value, np.ndarray):
+                fitted = getattr(model, key)
+                assert (fitted.shape, fitted.tobytes()) == (value.shape, value.tobytes()), key
+            else:
+                assert value == getattr(model, key), key
+        assert reduced.data.tobytes() == encoded.data.tobytes()
+
     def test_validation_errors(self, tiny_pair):
         with pytest.raises(InvalidConfigError):
             run_benchmark(fast_config([tiny_pair], eps=0.0))
@@ -210,16 +230,22 @@ class TestRunBenchmark:
         assert json.loads((tmp_path / "report.json").read_text())["normalized"] is normalized
 
     @pytest.mark.parametrize(
-        "override",
-        [{"som_width": 0}, {"som_width": 1, "som_height": 1}, {"som_width": -2, "som_height": -1},
-         {"som_epochs": 0}, {"som_radius0": -1.0}, {"som_radius0": float("nan")}, {"ica_tol": 0.0},
-         {"ica_tol": float("nan")}, {"ica_max_iter": 0}, {"ica_nonlinearity": "relu"},
-         {"eps": float("nan")}, {"eps": float("inf")}, {"em_quality": float("nan")},
-         {"em_quality": float("inf")}, {"som_radius0": float("inf")}],
+        "override, message",
+        [
+            pytest.param({"svd_k": 0}, "k must be", id="override0"),
+            pytest.param({"pca_variance_threshold": 0.0}, "variance-threshold", id="override1"),
+            pytest.param({"pca_variance_threshold": 1.5}, "variance-threshold", id="override2"),
+            pytest.param({"pca_variance_threshold": float("nan")}, "variance-threshold",
+                         id="override3"),
+            pytest.param({"eps": float("nan")}, "eps", id="override10"),
+            pytest.param({"eps": float("inf")}, "eps", id="override11"),
+            pytest.param({"em_quality": float("nan")}, "em-quality", id="override12"),
+            pytest.param({"em_quality": float("inf")}, "em-quality", id="override13"),
+        ],
     )
-    def test_reducer_and_threshold_ranges_rejected(self, tiny_pair, override):
+    def test_reducer_and_threshold_ranges_rejected(self, tiny_pair, override, message):
         config = fast_config([tiny_pair], **override)
-        with pytest.raises(InvalidConfigError, match=next(iter(override)).split("_")[0]):
+        with pytest.raises(InvalidConfigError, match=message):
             config.validate()
 
     def test_unknown_dataset_fails_before_work(self, tmp_path):
